@@ -7,49 +7,27 @@ operator laws over all five algebra kinds.
 
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
 
-from rbren import RBAlgebraDescriptor, rb_defect
+# run from a checkout without installing the package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-KINDS = {
-    "laurent_ms": lambda: RBAlgebraDescriptor.laurent_ms(coeff_vars=("c",)),
-    "merom_form": lambda: RBAlgebraDescriptor.merom(4),
-    "nc_log_form": lambda: RBAlgebraDescriptor.nc_log(2, 2),
-    "smooth_log_form": lambda: RBAlgebraDescriptor.smooth_log(3),
-    "saito_form": lambda: RBAlgebraDescriptor.saito(3),
-}
-
-
-def extra_laws(desc, x, y):
-    """Laws beyond the Rota-Baxter identity that the kind is expected to obey."""
-    failures = []
-    T, mul = desc.T, desc.mul
-    if desc.has_simple_T:
-        if not desc.eq(T(T(x)), T(x)):
-            failures.append("T^2=T")
-        if not desc.eq(T(mul(T(x), y)), mul(T(x), y)):
-            failures.append("T(T(x)y)=T(x)y")
-        if not desc.eq(T(mul(x, T(y))), mul(x, T(y))):
-            failures.append("T(xT(y))=xT(y)")
-    if desc.kind in ("smooth_log_form", "saito_form"):
-        if not desc.is_zero(mul(T(x), T(y))):
-            failures.append("T(x)T(y)=0")
-        if not desc.eq(T(mul(x, y)), desc.add(mul(T(x), y), mul(x, T(y)))):
-            failures.append("Leibniz")
-    return failures
+from rbren import SWEEP_DESCRIPTORS, failed_laws, rb_defect
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pairs", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--kind", choices=sorted(KINDS), action="append")
+    parser.add_argument("--kind", choices=sorted(SWEEP_DESCRIPTORS), action="append")
     args = parser.parse_args()
 
-    kinds = args.kind or sorted(KINDS)
+    kinds = args.kind or sorted(SWEEP_DESCRIPTORS)
     print(f"{'kind':<18} {'pairs':>6} {'rb fails':>9} {'law fails':>10} {'secs':>6}")
     for kind in kinds:
-        desc = KINDS[kind]()
+        desc = SWEEP_DESCRIPTORS[kind]
         rng = random.Random(args.seed)
         rb_failures = 0
         law_failures = 0
@@ -59,7 +37,7 @@ def main():
             y = desc.random_element(rng)
             if not desc.is_zero(rb_defect(desc, x, y)):
                 rb_failures += 1
-            law_failures += len(extra_laws(desc, x, y))
+            law_failures += len(failed_laws(desc, x, y))
         elapsed = time.time() - started
         print(
             f"{kind:<18} {args.pairs:>6} {rb_failures:>9} {law_failures:>10}"

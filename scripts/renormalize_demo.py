@@ -11,7 +11,12 @@
 
 import argparse
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+
+# run from a checkout without installing the package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rbren import (
     Character,
@@ -22,6 +27,7 @@ from rbren import (
     antipode,
     atkinson_solve,
     birkhoff_factorize,
+    birkhoff_parts,
     coproduct,
     eta_form,
     factorize_all,
@@ -88,13 +94,14 @@ def main():
 
     print("\n== minimal subtraction (pole_power, c = 1/2) ==")
     char = pole_power_character(reg, c=F(1, 2))
+    minus_char, plus_char = birkhoff_parts(char, reg)
     for name in factorize_all(char, reg):
         minus, plus = birkhoff_factorize(char, reg, name)
-        ok, _ = verify_factorization(char, char._minus, char._plus, name, reg)
+        ok, _ = verify_factorization(char, minus_char, plus_char, name, reg)
         print(f"  {name:10s} phi={char(name)}  phi-={minus}  phi+={plus}  ok={ok}")
 
     b_l, _ = atkinson_solve(char, reg, 4)
-    agrees = all(b_l(n) == char._minus[n] for n in reg.names())
+    agrees = all(b_l(n) == minus_char(n) for n in reg.names())
     print(f"  Atkinson fixed point reproduces phi-: {agrees}")
 
     print("\n== log-form character on two divisor components ==")

@@ -14,6 +14,7 @@ from .birkhoff import (
     atkinson_closed_form,
     atkinson_solve,
     birkhoff_factorize,
+    birkhoff_parts,
     convolve,
     factorize_all,
     phi_minus_nonrecursive,
@@ -81,13 +82,14 @@ from .motives import (
 )
 from .poly import LaurentPoly, MultiPoly, parse_laurent, parse_poly
 from .rota_baxter import (
+    SWEEP_DESCRIPTORS,
     RBAlgebraDescriptor,
     SaitoForm,
+    failed_laws,
     iterated_residue,
     operator_defect,
     rb_defect,
     residue,
-    saito_wedge,
 )
 from .symanzik import (
     EtaFormSpec,

@@ -14,7 +14,8 @@ provides the non-recursive series for phi_minus, the Atkinson fixed points
 b_l = e + T(b_l * a), b_r = e + (1-T)(a * b_r) with a = e - phi, and the
 closed form b_l = e + T(a)(1-a)^{-1}.
 
-Memo tables are only appended to; concurrent readers are safe.
+Characters and convolution elements memoize into plain dicts without
+locking; they are not safe to share between threads.
 """
 
 from __future__ import annotations
@@ -44,7 +45,33 @@ def degree_cutoff() -> int:
     return int(env) if env else DEFAULT_DEGREE_CUTOFF
 
 
-class Character:
+def _product(target, value: Callable[[str], Any], mono: Monomial) -> Any:
+    """The product of value(name) over the factors of a monomial."""
+    out = target.one()
+    for name in mono:
+        out = target.mul(out, value(name))
+    return out
+
+
+class _LinearMap:
+    """A map into ``target`` given on the monomial basis by ``on_monomial``
+    and extended linearly to HopfElements; a generator name stands for its
+    one-factor monomial."""
+
+    target: RBAlgebraDescriptor
+
+    def __call__(self, x) -> Any:
+        if isinstance(x, str):
+            x = (x,)
+        if isinstance(x, tuple):
+            return self.on_monomial(x)
+        out = self.target.zero()
+        for mono, coeff in x.terms.items():
+            out = self.target.add(out, self.target.scalar(coeff, self.on_monomial(mono)))
+        return out
+
+
+class Character(_LinearMap):
     """Multiplicative map from generator names into a target algebra.
 
     ``values`` fixes generators explicitly; ``rule`` (name, graph) -> element
@@ -63,8 +90,7 @@ class Character:
         self.values = dict(values or {})
         self.rule = rule
         self.reg = reg
-        self._minus: dict[str, Any] = {}
-        self._plus: dict[str, Any] = {}
+        self._parts: dict[str, tuple[Any, Any]] = {}  # (phi_minus, phi_plus)
 
     def value(self, name: str) -> Any:
         if name in self.values:
@@ -76,20 +102,12 @@ class Character:
         raise MissingValueError(f"character has no value for generator {name!r}")
 
     def on_monomial(self, mono: Monomial) -> Any:
-        out = self.target.one()
-        for name in mono:
-            out = self.target.mul(out, self.value(name))
-        return out
+        return _product(self.target, self.value, mono)
 
     def __call__(self, x) -> Any:
         if isinstance(x, str):
             return self.value(x)
-        if isinstance(x, tuple):
-            return self.on_monomial(x)
-        out = self.target.zero()
-        for mono, coeff in x.terms.items():
-            out = self.target.add(out, self.target.scalar(coeff, self.on_monomial(mono)))
-        return out
+        return super().__call__(x)
 
 
 def pole_power_character(
@@ -116,7 +134,7 @@ def pole_power_character(
 # -- convolution ----------------------------------------------------------------
 
 
-class ConvolutionElement:
+class ConvolutionElement(_LinearMap):
     """Map from the graded monomial basis into the target, defined through a
     degree cutoff; evaluation beyond the cutoff raises CutoffError."""
 
@@ -136,16 +154,6 @@ class ConvolutionElement:
             self._memo[mono] = self._fn(mono)
         return self._memo[mono]
 
-    def __call__(self, x) -> Any:
-        if isinstance(x, str):
-            return self.on_monomial((x,))
-        if isinstance(x, tuple):
-            return self.on_monomial(x)
-        out = self.target.zero()
-        for mono, coeff in x.terms.items():
-            out = self.target.add(out, self.target.scalar(coeff, self.on_monomial(mono)))
-        return out
-
 
 def unit_character(target, reg, cutoff: int | None = None) -> ConvolutionElement:
     """The convolution unit e: 1 on the empty monomial, 0 above."""
@@ -157,6 +165,14 @@ def unit_character(target, reg, cutoff: int | None = None) -> ConvolutionElement
     return ConvolutionElement(target, reg, cutoff, fn)
 
 
+def _pair(target, acc, tensor, left: Callable, right: Callable):
+    """acc + sum of coeff * left(L) right(R) over the terms L (x) R of a
+    two-leg tensor, added in term order."""
+    for (mono_l, mono_r), coeff in tensor.terms.items():
+        acc = target.add(acc, target.scalar(coeff, target.mul(left(mono_l), right(mono_r))))
+    return acc
+
+
 def convolve(phi1, phi2, x, reg: GeneratorRegistry):
     """(phi1 * phi2)(x) via the coproduct pairing."""
     target = phi1.target
@@ -164,12 +180,7 @@ def convolve(phi1, phi2, x, reg: GeneratorRegistry):
         raise PreconditionError("convolution needs a shared target algebra")
     if isinstance(x, (str, tuple)):
         x = HopfElement.gen(x) if isinstance(x, str) else HopfElement({x: 1})
-    out = target.zero()
-    for (left, right), coeff in coproduct(x, reg).terms.items():
-        out = target.add(
-            out, target.scalar(coeff, target.mul(phi1(left), phi2(right)))
-        )
-    return out
+    return _pair(target, target.zero(), coproduct(x, reg), phi1, phi2)
 
 
 def convolution_product(phi1, phi2, reg) -> ConvolutionElement:
@@ -185,36 +196,20 @@ def convolution_product(phi1, phi2, reg) -> ConvolutionElement:
 # -- Birkhoff factorization --------------------------------------------------------
 
 
-def _phi_minus_monomial(char: Character, reg: GeneratorRegistry, mono: Monomial):
-    out = char.target.one()
-    for name in mono:
-        out = char.target.mul(out, _phi_minus_gen(char, reg, name))
-    return out
-
-
-def _phi_minus_gen(char: Character, reg: GeneratorRegistry, name: str):
-    if name in char._minus:
-        return char._minus[name]
-    minus, _ = birkhoff_factorize(char, reg, name)
-    return minus
-
-
 def birkhoff_factorize(char: Character, reg: GeneratorRegistry, name: str):
     """(phi_minus, phi_plus) values on the generator ``name``, memoized."""
-    if name in char._minus and name in char._plus:
-        return char._minus[name], char._plus[name]
+    if name in char._parts:
+        return char._parts[name]
     target = char.target
-    arg = char.value(name)
-    for (left, right), coeff in reduced_coproduct(
-        HopfElement.gen(name), reg
-    ).terms.items():
-        term = target.mul(_phi_minus_monomial(char, reg, left), char.on_monomial(right))
-        arg = target.add(arg, target.scalar(coeff, term))
+    minus_gen = lambda n: (char._parts.get(n) or birkhoff_factorize(char, reg, n))[0]
+    minus_of = lambda mono: _product(target, minus_gen, mono)
+    value = char.value(name)
+    tensor = reduced_coproduct(HopfElement.gen(name), reg)
+    arg = _pair(target, value, tensor, minus_of, char.on_monomial)
     polar = target.T(arg)
     minus = target.neg(polar)
     plus = target.sub(arg, polar)
-    char._minus[name] = minus
-    char._plus[name] = plus
+    char._parts[name] = minus, plus
     return minus, plus
 
 
@@ -230,6 +225,17 @@ def factorize_all(char: Character, reg: GeneratorRegistry) -> tuple[str, ...]:
         for name in sorted(todo):
             birkhoff_factorize(char, reg, name)
         done |= todo
+
+
+def birkhoff_parts(char: Character, reg: GeneratorRegistry) -> tuple[Character, Character]:
+    """phi_minus and phi_plus as characters; a generator's values are
+    factorized, and memoized in ``char``, when first asked for."""
+
+    def part(i: int) -> Character:
+        rule = lambda name, graph: birkhoff_factorize(char, reg, name)[i]
+        return Character(char.target, rule=rule, reg=reg)
+
+    return part(0), part(1)
 
 
 def phi_minus_nonrecursive(char: Character, reg: GeneratorRegistry, name: str):
@@ -277,18 +283,19 @@ def verify_factorization(
     minus_char = minus if isinstance(minus, Character) else Character(target, dict(minus))
     plus_char = plus if isinstance(plus, Character) else Character(target, dict(plus))
 
-    total = target.zero()
-    for (left, right), coeff in coproduct(HopfElement.gen(name), reg).terms.items():
-        s_left = antipode(HopfElement({left: 1}), reg)
-        total = target.add(
-            total,
-            target.scalar(coeff, target.mul(minus_char(s_left), plus_char(right))),
-        )
+    minus_of_antipode = lambda mono: minus_char(antipode(HopfElement({mono: 1}), reg))
+    tensor = coproduct(HopfElement.gen(name), reg)
+    total = _pair(target, target.zero(), tensor, minus_of_antipode, plus_char)
     defect = target.sub(total, char.value(name))
     return target.is_zero(defect), defect
 
 
 # -- Atkinson fixed points -----------------------------------------------------------
+
+
+def _e_minus_phi(char: Character, mono: Monomial):
+    """a = e - phi on a monomial; it vanishes on the empty monomial."""
+    return char.target.neg(char.on_monomial(mono)) if mono else char.target.zero()
 
 
 def atkinson_solve(char: Character, reg: GeneratorRegistry, cutoff: int | None = None):
@@ -302,12 +309,7 @@ def atkinson_solve(char: Character, reg: GeneratorRegistry, cutoff: int | None =
     if cutoff < 1:
         raise PreconditionError("cutoff must be >= 1")
     target = char.target
-
-    def a_value(mono: Monomial):
-        # a = e - phi vanishes on the empty monomial
-        if not mono:
-            return target.zero()
-        return target.neg(char.on_monomial(mono))
+    a_value = lambda mono: _e_minus_phi(char, mono)
 
     b_l: ConvolutionElement
     b_r: ConvolutionElement
@@ -317,27 +319,15 @@ def atkinson_solve(char: Character, reg: GeneratorRegistry, cutoff: int | None =
             return target.one()
         # (b_l * a)(mono): the a(1) leg vanishes, so recursion is well founded
         acc = a_value(mono)
-        for (left, right), coeff in reduced_coproduct(
-            HopfElement({mono: 1}), reg
-        ).terms.items():
-            acc = target.add(
-                acc,
-                target.scalar(coeff, target.mul(b_l.on_monomial(left), a_value(right))),
-            )
-        return target.T(acc)
+        tensor = reduced_coproduct(HopfElement({mono: 1}), reg)
+        return target.T(_pair(target, acc, tensor, b_l.on_monomial, a_value))
 
     def br_fn(mono: Monomial):
         if not mono:
             return target.one()
         acc = a_value(mono)
-        for (left, right), coeff in reduced_coproduct(
-            HopfElement({mono: 1}), reg
-        ).terms.items():
-            acc = target.add(
-                acc,
-                target.scalar(coeff, target.mul(a_value(left), b_r.on_monomial(right))),
-            )
-        return target.T_complement(acc)
+        tensor = reduced_coproduct(HopfElement({mono: 1}), reg)
+        return target.T_complement(_pair(target, acc, tensor, a_value, b_r.on_monomial))
 
     b_l = ConvolutionElement(target, reg, cutoff, bl_fn)
     b_r = ConvolutionElement(target, reg, cutoff, br_fn)
@@ -357,36 +347,16 @@ def atkinson_closed_form(
         )
     cutoff = degree_cutoff() if cutoff is None else cutoff
     target = char.target
-
-    def a_char(x):
-        # e - phi as a callable on monomials
-        if isinstance(x, tuple):
-            if not x:
-                return target.zero()
-            return target.neg(char.on_monomial(x))
-        raise PreconditionError("internal: monomial expected")
-
-    class _Map:
-        def __init__(self, fn):
-            self.target = target
-            self.fn = fn
-
-        def __call__(self, x):
-            if isinstance(x, tuple):
-                return self.fn(x)
-            out = target.zero()
-            for mono, coeff in x.terms.items():
-                out = target.add(out, target.scalar(coeff, self.fn(mono)))
-            return out
-
-    a_map = _Map(a_char)
-    unit = _Map(lambda m: target.one() if not m else target.zero())
-
-    powers = [unit]
+    # the maps below are evaluated only on legs of Delta(name), of degree <= deg(name)
+    bound = reg.degree(name)
+    a_map = ConvolutionElement(target, reg, bound, lambda mono: _e_minus_phi(char, mono))
+    powers = [unit_character(target, reg, bound)]
     for _ in range(cutoff):
         prev = powers[-1]
         powers.append(
-            _Map(lambda mono, prev=prev: convolve(a_map, prev, mono, reg))
+            ConvolutionElement(
+                target, reg, bound, lambda mono, prev=prev: convolve(a_map, prev, mono, reg)
+            )
         )
 
     def series(mono: Monomial):
@@ -395,11 +365,7 @@ def atkinson_closed_form(
             out = target.add(out, p(mono))
         return out
 
-    series_map = _Map(series)
-    t_a = _Map(lambda mono: target.T(a_map(mono)))
-
-    def bl(mono: Monomial):
-        head = target.one() if not mono else target.zero()
-        return target.add(head, convolve(t_a, series_map, mono, reg))
-
-    return bl((name,))
+    series_map = ConvolutionElement(target, reg, bound, series)
+    t_a = ConvolutionElement(target, reg, bound, lambda mono: target.T(a_map(mono)))
+    # the unit e vanishes on the generator
+    return convolve(t_a, series_map, (name,), reg)

@@ -20,6 +20,7 @@ from .birkhoff import (
     atkinson_closed_form,
     atkinson_solve,
     birkhoff_factorize,
+    birkhoff_parts,
     degree_cutoff,
     phi_minus_nonrecursive,
     verify_factorization,
@@ -55,7 +56,7 @@ from .motives import (
     projective_class,
     sigma_arrangement,
 )
-from .rota_baxter import RBAlgebraDescriptor, iterated_residue, rb_defect
+from .rota_baxter import SWEEP_DESCRIPTORS, iterated_residue, rb_defect
 from .symanzik import (
     eta_form,
     graph_matrix,
@@ -178,9 +179,7 @@ def _cmd_birkhoff(args) -> Any:
             "phi_plus": serde.dump_element(target, plus),
         }
         if args.verify:
-            ok, defect = verify_factorization(
-                char, char._minus, char._plus, name, reg
-            )
+            ok, defect = verify_factorization(char, *birkhoff_parts(char, reg), name, reg)
             payload["verified"] = ok
             payload["defect"] = serde.dump_element(target, defect)
         return payload
@@ -269,7 +268,9 @@ def _cmd_motive(args) -> Any:
 
 def _cmd_rb(args) -> Any:
     if args.rb_cmd == "sweep":
-        desc = _sweep_descriptor(args.kind)
+        desc = SWEEP_DESCRIPTORS.get(args.kind)
+        if desc is None:
+            raise PreconditionError(f"unknown algebra kind {args.kind!r}")
         rng = random.Random(args.seed)
         failures = 0
         for _ in range(args.pairs):
@@ -298,21 +299,6 @@ def _cmd_rb(args) -> Any:
         out = iterated_residue(desc, x, args.index)
         return {"residue": serde.dump_exterior(out, desc)}
     raise PreconditionError(f"unknown rb command {args.rb_cmd!r}")
-
-
-_SWEEP_DESCRIPTORS = {
-    "laurent_ms": lambda: RBAlgebraDescriptor.laurent_ms(coeff_vars=("c",)),
-    "merom_form": lambda: RBAlgebraDescriptor.merom(4),
-    "nc_log_form": lambda: RBAlgebraDescriptor.nc_log(2, 2),
-    "smooth_log_form": lambda: RBAlgebraDescriptor.smooth_log(3),
-    "saito_form": lambda: RBAlgebraDescriptor.saito(3),
-}
-
-
-def _sweep_descriptor(kind: str) -> RBAlgebraDescriptor:
-    if kind not in _SWEEP_DESCRIPTORS:
-        raise PreconditionError(f"unknown algebra kind {kind!r}")
-    return _SWEEP_DESCRIPTORS[kind]()
 
 
 # -- parser ----------------------------------------------------------------------

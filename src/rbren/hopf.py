@@ -7,8 +7,8 @@ antipode is the usual graded recursion.  Sub- and quotient graphs are
 identified with registered generators through canonical graph keys, with
 unknown ones auto-registered.
 
-Values are immutable and the registry is append-only, so sharing across
-threads is safe.
+Values are immutable.  The registry memoizes and auto-registers without
+locking, so it is not safe to share between threads.
 """
 
 from __future__ import annotations
@@ -250,7 +250,8 @@ class GeneratorRegistry:
         """Register a generator; returns the primary name for its class.
 
         An explicit registration of a graph isomorphic to an auto-registered
-        one takes over as the primary name.
+        one takes over as the primary name.  A name bound to a generator, or
+        as an alias, is never rebound to a non-isomorphic graph.
         """
         if not is_1pi(graph):
             raise PreconditionError(f"generator {name!r} is not 1PI")
@@ -259,7 +260,8 @@ class GeneratorRegistry:
                 f"generator {name!r} has an odd number of internal edges"
             )
         key = canonical_key(graph)
-        if name in self._graphs and canonical_key(self._graphs[name]) != key:
+        bound = self._aliases.get(name, name)
+        if bound in self._graphs and self._primary.get(key) != bound:
             raise PreconditionError(f"name {name!r} already bound to another graph")
         existing = self._primary.get(key)
         if existing is not None:

@@ -18,6 +18,10 @@ satisfying  T(x)T(y) + T(xy) = T(xT(y)) + T(T(x)y):
                   a fixed divisor h; T keeps the dlog(h) part and is a
                   derivation.
 
+Each kind is one algebra class: its variables, its element type and T.
+``RBAlgebraDescriptor`` is the public type; it names a kind and its sizes and
+delegates to an instance of that kind's class.
+
 Divisor equations are distinguished formal variables (the local normal form
 of a smooth component), which makes polar-part extraction canonical.
 
@@ -26,20 +30,17 @@ All values are immutable; operators are pure functions.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable
 
 from .errors import ContextError, InvariantError, PreconditionError
 from .exterior import ExteriorElement
-from .poly import LaurentPoly, MultiPoly
-
-KINDS = ("laurent_ms", "merom_form", "nc_log_form", "smooth_log_form", "saito_form")
-
-# kinds on which T additionally satisfies T^2 = T and T(T(x)y) = T(x)y,
-# T(xT(y)) = xT(y); these admit the non-recursive factorization formulas
-SIMPLE_T_KINDS = ("nc_log_form", "smooth_log_form", "saito_form")
+from .poly import LaurentPoly, MultiPoly, parse_laurent, parse_poly
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,252 @@ class SaitoForm:
     eta: ExteriorElement
 
 
+def _names(prefix: str, count: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{k}" for k in range(1, count + 1))
+
+
+def _random_poly(rng, variables, hfree=False) -> MultiPoly:
+    """One or two seeded terms; ``hfree`` keeps the divisor h out."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        exps = [rng.randint(0, 2) if rng.random() < 0.5 else 0 for _ in variables]
+        if hfree:
+            exps[variables.index("h")] = 0
+        coeff = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 1, 2]))
+        key = tuple(exps)
+        terms[key] = terms.get(key, Fraction(0)) + coeff
+    return MultiPoly(variables, terms)
+
+
+# -- one class per kind ---------------------------------------------------------
+
+
+class _Algebra:
+    """The protocol every kind implements: the variables ``dist_vars``
+    (Laurent), ``poly_vars`` and ``gens`` (exterior), the element operations
+    and T.  The defaults are those of even exterior forms."""
+
+    # T^2 = T, T(T(x)y) = T(x)y and T(xT(y)) = xT(y); such targets admit the
+    # non-recursive factorization formulas
+    simple_T = False
+    # T(x)T(y) = 0 and T(xy) = T(x)y + xT(y)
+    derivation_T = False
+
+    dist_vars: tuple[str, ...] = ()
+    poly_vars: tuple[str, ...]
+    gens: tuple[str, ...] = ()
+
+    def zero(self):
+        return ExteriorElement.zero(self.gens)
+
+    def one(self):
+        return ExteriorElement.scalar(
+            self.gens, LaurentPoly.const(self.dist_vars, self.poly_vars, 1)
+        )
+
+    # the element types' own operators
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    scalar = staticmethod(operator.mul)
+    is_zero = staticmethod(operator.methodcaller("is_zero"))
+    eq = staticmethod(operator.eq)
+
+    def mul(self, x, y):
+        for operand in (x, y):
+            if not operand.is_even():
+                raise PreconditionError(
+                    "algebra multiplication is defined on even-degree forms"
+                )
+        return x * y
+
+    def random_coeff(self, rng) -> LaurentPoly:
+        out = {}
+        for _ in range(rng.randint(1, 2)):
+            dexps = tuple(rng.randint(-2, 2) for _ in self.dist_vars)
+            out[dexps] = _random_poly(rng, self.poly_vars)
+        return LaurentPoly(self.dist_vars, self.poly_vars, out)
+
+    def random_element(self, rng: random.Random, even: bool = True):
+        gens = self.gens
+        sizes = [d for d in range(len(gens) + 1) if d % 2 == 0 or not even]
+        subsets = [s for d in sizes for s in itertools.combinations(range(len(gens)), d)]
+        total = ExteriorElement.zero(gens)
+        for _ in range(rng.randint(1, 3)):
+            subset = rng.choice(subsets)
+            total = total + ExteriorElement(gens, {subset: self.random_coeff(rng)})
+        return total
+
+
+class _Laurent(_Algebra):
+    dist_vars = ("z",)
+
+    def __init__(self, desc: "RBAlgebraDescriptor"):
+        self.poly_vars = desc.coeff_vars
+
+    def zero(self):
+        return LaurentPoly.zero(self.dist_vars, self.poly_vars)
+
+    def one(self):
+        return LaurentPoly.const(self.dist_vars, self.poly_vars, 1)
+
+    mul = staticmethod(operator.mul)
+
+    def T(self, x):
+        return x.polar_part("z")
+
+    def random_element(self, rng: random.Random, even: bool = True):
+        return self.random_coeff(rng)
+
+
+class _Merom(_Algebra):
+    dist_vars = ("f",)
+
+    def __init__(self, desc: "RBAlgebraDescriptor"):
+        self.poly_vars = _names("x", desc.ambient)
+        self.gens = _names("dx", desc.ambient)
+
+    def T(self, x):
+        return x.map_coeffs(lambda c: c.polar_part("f"))
+
+
+class _NcLog(_Algebra):
+    simple_T = True
+
+    def __init__(self, desc: "RBAlgebraDescriptor"):
+        self.divisors = desc.divisors
+        self.poly_vars = _names("f", desc.divisors) + _names("x", desc.ambient)
+        self.gens = _names("dlog", desc.divisors) + _names("dx", desc.ambient)
+
+    def T(self, x):
+        m = self.divisors
+        return x.select(lambda s: any(i < m for i in s))
+
+
+class _SmoothLog(_NcLog):
+    derivation_T = True
+
+    def __init__(self, desc: "RBAlgebraDescriptor"):
+        if desc.divisors != 1:
+            raise PreconditionError("smooth_log_form has exactly one divisor")
+        super().__init__(desc)
+
+
+class _Saito(_Algebra):
+    simple_T = True
+    derivation_T = True
+
+    def __init__(self, desc: "RBAlgebraDescriptor"):
+        self.poly_vars = ("h",) + _names("x", desc.ambient)
+        self.gens = _names("dx", desc.ambient)
+
+    def zero(self):
+        return SaitoForm(MultiPoly.const(self.poly_vars, 1), super().zero(), super().zero())
+
+    def one(self):
+        return SaitoForm(MultiPoly.const(self.poly_vars, 1), super().zero(), super().one())
+
+    def add(self, x, y):
+        return self.reduce(
+            x.denom * y.denom,
+            y.denom * x.xi + x.denom * y.xi,
+            y.denom * x.eta + x.denom * y.eta,
+        )
+
+    def neg(self, x):
+        return SaitoForm(x.denom, -x.xi, -x.eta)
+
+    def scalar(self, c: Fraction, x):
+        return SaitoForm(x.denom, c * x.xi, c * x.eta)
+
+    def mul(self, a, b):
+        denom = a.denom * b.denom
+        self._check_coprime_h(denom)
+        xi = a.xi * b.eta + a.eta * b.xi  # eta slots are even, no extra sign
+        eta = a.eta * b.eta
+        return self.reduce(denom, xi, eta)
+
+    def is_zero(self, x) -> bool:
+        return x.xi.is_zero() and x.eta.is_zero()
+
+    def eq(self, x, y) -> bool:
+        return (y.denom * x.xi == x.denom * y.xi) and (y.denom * x.eta == x.denom * y.eta)
+
+    def T(self, x):
+        return SaitoForm(x.denom, x.xi, x.eta.zero_like())
+
+    def _check_coprime_h(self, denom: MultiPoly):
+        if denom.is_zero():
+            raise InvariantError("zero denominator in a Saito triple")
+        i = self.poly_vars.index("h")
+        if all(e[i] > 0 for e in denom.terms):
+            raise InvariantError("denominator shares the divisor h")
+
+    def reduce(self, denom, xi, eta) -> SaitoForm:
+        self._check_coprime_h(denom)
+        for part, parity in ((xi, 1), (eta, 0)):
+            if any(len(s) % 2 != parity for s in part.terms):
+                raise PreconditionError("Saito slots must have odd/even parity")
+        # pull out the common rational content and a common monomial factor
+        # (coefficients of Saito slots are plain polynomials)
+        polys = [denom] + [_laurent_to_poly(c) for part in (xi, eta) for c in part.terms.values()]
+        contents = [p.content() for p in polys]
+        exps = [min_exps(p) for p in polys]
+        num = gcd(*(c.numerator for c in contents))
+        scale = Fraction(num, lcm(*(c.denominator for c in contents))) if num else Fraction(1)
+        shift = [min(col) for col in zip(*[e for e in exps if e is not None])]
+        if scale == 1 and not any(shift):
+            return SaitoForm(denom, xi, eta)
+
+        def reduce_poly(p: MultiPoly) -> MultiPoly:
+            terms = {tuple(a - b for a, b in zip(e, shift)): c / scale for e, c in p.terms.items()}
+            return MultiPoly(p.variables, terms)
+
+        return SaitoForm(
+            reduce_poly(denom),
+            xi.map_coeffs(lambda c: c.map_coeffs(reduce_poly)),
+            eta.map_coeffs(lambda c: c.map_coeffs(reduce_poly)),
+        )
+
+    def random_element(self, rng: random.Random, even: bool = True):
+        variables = self.poly_vars
+        # h-free part first so gcd(f, h) = 1 is guaranteed
+        denom = _random_poly(rng, variables, hfree=True)
+        if denom.is_zero():
+            denom = MultiPoly.const(variables, 1)
+        if rng.random() < 0.5:
+            h = MultiPoly.variable(variables, "h")
+            denom = denom + h * _random_poly(rng, variables)
+        gens = self.gens
+        n = len(gens)
+        odd = [s for d in range(1, n + 1, 2) for s in itertools.combinations(range(n), d)]
+        even = [s for d in range(0, n + 1, 2) for s in itertools.combinations(range(n), d)]
+        xi = ExteriorElement.zero(gens)
+        eta = ExteriorElement.zero(gens)
+        plain = lambda: LaurentPoly.from_poly(_random_poly(rng, variables))
+        for _ in range(rng.randint(0, 2)):
+            xi = xi + ExteriorElement(gens, {rng.choice(odd): plain()})
+        for _ in range(rng.randint(0, 2)):
+            eta = eta + ExteriorElement(gens, {rng.choice(even): plain()})
+        return self.reduce(denom, xi, eta)
+
+
+# the one place a kind name selects behaviour
+_ALGEBRAS = {
+    "laurent_ms": _Laurent,
+    "merom_form": _Merom,
+    "nc_log_form": _NcLog,
+    "smooth_log_form": _SmoothLog,
+    "saito_form": _Saito,
+}
+
+
 @dataclass(frozen=True)
 class RBAlgebraDescriptor:
+    """An algebra kind with its sizes; the kind's class does the arithmetic.
+
+    Every operation stays a method of this class, so that a wrapper installed
+    on the class (a profiler, a tracer) sees each call."""
+
     kind: str
     weight: Fraction = Fraction(-1)
     divisors: int = 0
@@ -64,15 +309,15 @@ class RBAlgebraDescriptor:
     coeff_vars: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        kind_class = _ALGEBRAS.get(self.kind) if isinstance(self.kind, str) else None
+        if kind_class is None:
             raise PreconditionError(f"unknown algebra kind {self.kind!r}")
-        if self.kind == "smooth_log_form" and self.divisors != 1:
-            raise PreconditionError("smooth_log_form has exactly one divisor")
+        object.__setattr__(self, "coeff_vars", tuple(self.coeff_vars))
+        object.__setattr__(self, "_algebra", kind_class(self))
         if Fraction(self.weight) != -1:
             # every provided kind carries the weight -1 polar splitting
             raise PreconditionError("descriptor weight must be -1")
         object.__setattr__(self, "weight", Fraction(self.weight))
-        object.__setattr__(self, "coeff_vars", tuple(self.coeff_vars))
 
     # -- constructors per kind ----------------------------------------------
 
@@ -100,34 +345,16 @@ class RBAlgebraDescriptor:
 
     @property
     def has_simple_T(self) -> bool:
-        return self.kind in SIMPLE_T_KINDS
+        return self._algebra.simple_T
 
     def dist_vars(self) -> tuple[str, ...]:
-        if self.kind == "laurent_ms":
-            return ("z",)
-        if self.kind == "merom_form":
-            return ("f",)
-        return ()
+        return self._algebra.dist_vars
 
     def poly_vars(self) -> tuple[str, ...]:
-        if self.kind == "laurent_ms":
-            return self.coeff_vars
-        if self.kind == "merom_form":
-            return tuple(f"x{k}" for k in range(1, self.ambient + 1))
-        if self.kind in ("nc_log_form", "smooth_log_form"):
-            return tuple(f"f{j}" for j in range(1, self.divisors + 1)) + tuple(
-                f"x{k}" for k in range(1, self.ambient + 1)
-            )
-        return ("h",) + tuple(f"x{k}" for k in range(1, self.ambient + 1))
+        return self._algebra.poly_vars
 
     def gens(self) -> tuple[str, ...]:
-        if self.kind == "laurent_ms":
-            return ()
-        if self.kind in ("nc_log_form", "smooth_log_form"):
-            return tuple(f"dlog{j}" for j in range(1, self.divisors + 1)) + tuple(
-                f"dx{k}" for k in range(1, self.ambient + 1)
-            )
-        return tuple(f"dx{k}" for k in range(1, self.ambient + 1))
+        return self._algebra.gens
 
     # -- element builders ------------------------------------------------------
 
@@ -136,8 +363,6 @@ class RBAlgebraDescriptor:
             return text_or_poly
         if isinstance(text_or_poly, MultiPoly):
             return LaurentPoly.from_poly(text_or_poly, self.dist_vars())
-        from .poly import parse_laurent
-
         return parse_laurent(str(text_or_poly), self.dist_vars(), self.poly_vars())
 
     def form(self, *terms) -> ExteriorElement:
@@ -149,232 +374,53 @@ class RBAlgebraDescriptor:
 
     def saito_element(self, denom, xi: ExteriorElement, eta: ExteriorElement) -> SaitoForm:
         if isinstance(denom, str):
-            from .poly import parse_poly
-
             denom = parse_poly(denom, self.poly_vars())
-        return self._saito_reduce(denom, xi, eta)
+        return self._algebra.reduce(denom, xi, eta)
 
     def zero(self):
-        if self.kind == "laurent_ms":
-            return LaurentPoly.zero(self.dist_vars(), self.poly_vars())
-        if self.kind == "saito_form":
-            empty = ExteriorElement.zero(self.gens())
-            return SaitoForm(MultiPoly.const(self.poly_vars(), 1), empty, empty)
-        return ExteriorElement.zero(self.gens())
+        return self._algebra.zero()
 
     def one(self):
-        if self.kind == "laurent_ms":
-            return LaurentPoly.const(self.dist_vars(), self.poly_vars(), 1)
-        if self.kind == "saito_form":
-            empty = ExteriorElement.zero(self.gens())
-            one = ExteriorElement.scalar(
-                self.gens(), LaurentPoly.const((), self.poly_vars(), 1)
-            )
-            return SaitoForm(MultiPoly.const(self.poly_vars(), 1), empty, one)
-        return ExteriorElement.scalar(
-            self.gens(), LaurentPoly.const(self.dist_vars(), self.poly_vars(), 1)
-        )
+        return self._algebra.one()
 
     # -- algebra operations -----------------------------------------------------
 
     def add(self, x, y):
-        if self.kind == "saito_form":
-            return self._saito_reduce(
-                x.denom * y.denom,
-                y.denom * x.xi + x.denom * y.xi,
-                y.denom * x.eta + x.denom * y.eta,
-            )
-        return x + y
+        return self._algebra.add(x, y)
 
     def neg(self, x):
-        if self.kind == "saito_form":
-            return SaitoForm(x.denom, -x.xi, -x.eta)
-        return -x
+        return self._algebra.neg(x)
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
     def scalar(self, c, x):
-        c = Fraction(c)
-        if self.kind == "saito_form":
-            return SaitoForm(x.denom, c * x.xi, c * x.eta)
-        return c * x
+        return self._algebra.scalar(Fraction(c), x)
 
     def mul(self, x, y):
-        if self.kind == "saito_form":
-            return self._saito_mul(x, y)
-        if self.kind != "laurent_ms":
-            for operand in (x, y):
-                if not operand.is_even():
-                    raise PreconditionError(
-                        "algebra multiplication is defined on even-degree forms"
-                    )
-        return x * y
+        return self._algebra.mul(x, y)
 
     def is_zero(self, x) -> bool:
-        if self.kind == "saito_form":
-            return x.xi.is_zero() and x.eta.is_zero()
-        return x.is_zero()
+        return self._algebra.is_zero(x)
 
     def eq(self, x, y) -> bool:
-        if self.kind == "saito_form":
-            return (y.denom * x.xi == x.denom * y.xi) and (
-                y.denom * x.eta == x.denom * y.eta
-            )
-        return x == y
+        return self._algebra.eq(x, y)
 
     # -- the Rota-Baxter operator -------------------------------------------------
 
     def T(self, x):
-        if self.kind == "laurent_ms":
-            return x.polar_part("z")
-        if self.kind == "merom_form":
-            return x.map_coeffs(lambda c: c.polar_part("f"))
-        if self.kind in ("nc_log_form", "smooth_log_form"):
-            m = self.divisors
-            return x.select(lambda s: any(i < m for i in s))
-        return SaitoForm(x.denom, x.xi, x.eta.zero_like())
+        return self._algebra.T(x)
 
     def T_complement(self, x):
         return self.sub(x, self.T(x))
 
-    def in_T_image(self, x) -> bool:
-        return self.eq(self.T(x), x)
-
-    # -- saito internals ---------------------------------------------------------
-
-    def _h_index(self) -> int:
-        return self.poly_vars().index("h")
-
-    def _check_coprime_h(self, denom: MultiPoly):
-        if denom.is_zero():
-            raise InvariantError("zero denominator in a Saito triple")
-        i = self._h_index()
-        if all(e[i] > 0 for e in denom.terms):
-            raise InvariantError("denominator shares the divisor h")
-
-    def _saito_reduce(self, denom, xi, eta) -> SaitoForm:
-        self._check_coprime_h(denom)
-        for part, parity in ((xi, 1), (eta, 0)):
-            if any(len(s) % 2 != parity for s in part.terms):
-                raise PreconditionError("Saito slots must have odd/even parity")
-        # pull out the common rational content and a common monomial factor
-        contents = [denom.content()]
-        exps = [min_exps(denom)]
-        for part in (xi, eta):
-            for c in part.terms.values():
-                poly = c.terms.get((), None) if c.dist == () else None
-                if poly is None:
-                    # coefficients of Saito slots are plain polynomials
-                    poly = _laurent_to_poly(c)
-                contents.append(poly.content())
-                exps.append(min_exps(poly))
-        from math import gcd
-
-        num = 0
-        den = 1
-        for c in contents:
-            if c == 0:
-                continue
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        scale = Fraction(num, den) if num else Fraction(1)
-        common = [min(col) for col in zip(*[e for e in exps if e is not None])] or None
-        if scale == 1 and (common is None or not any(common)):
-            return SaitoForm(denom, xi, eta)
-        shift = tuple(common) if common else None
-
-        def reduce_poly(p: MultiPoly) -> MultiPoly:
-            terms = {}
-            for e, c in p.terms.items():
-                e2 = tuple(a - b for a, b in zip(e, shift)) if shift else e
-                terms[e2] = c / scale
-            return MultiPoly(p.variables, terms)
-
-        return SaitoForm(
-            reduce_poly(denom),
-            xi.map_coeffs(lambda c: c.map_coeffs(reduce_poly)),
-            eta.map_coeffs(lambda c: c.map_coeffs(reduce_poly)),
-        )
-
-    def _saito_mul(self, a: SaitoForm, b: SaitoForm) -> SaitoForm:
-        denom = a.denom * b.denom
-        self._check_coprime_h(denom)
-        xi = a.xi * b.eta + a.eta * b.xi  # eta slots are even, no extra sign
-        eta = a.eta * b.eta
-        return self._saito_reduce(denom, xi, eta)
-
     # -- random sampling (seeded sweeps) --------------------------------------------
 
     def random_element(self, rng: random.Random, even: bool = True):
-        if self.kind == "laurent_ms":
-            return self._random_laurent(rng)
-        if self.kind == "saito_form":
-            return self._random_saito(rng)
-        return self._random_form(rng, even=even)
-
-    def _random_coeff_poly(self, rng, variables, max_terms=2, hfree=False):
-        terms = {}
-        n = len(variables)
-        hi = self._h_index() if self.kind == "saito_form" else None
-        for _ in range(rng.randint(1, max_terms)):
-            exps = [rng.randint(0, 2) if rng.random() < 0.5 else 0 for _ in range(n)]
-            if hfree and hi is not None:
-                exps[hi] = 0
-            coeff = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 1, 2]))
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return MultiPoly(variables, terms)
+        return self._algebra.random_element(rng, even)
 
     def _random_laurent_coeff(self, rng) -> LaurentPoly:
-        dist = self.dist_vars()
-        out = {}
-        for _ in range(rng.randint(1, 2)):
-            dexps = tuple(rng.randint(-2, 2) for _ in dist)
-            out[dexps] = self._random_coeff_poly(rng, self.poly_vars())
-        return LaurentPoly(dist, self.poly_vars(), out)
-
-    def _random_laurent(self, rng) -> LaurentPoly:
-        return self._random_laurent_coeff(rng)
-
-    def _random_form(self, rng, even=True) -> ExteriorElement:
-        gens = self.gens()
-        sizes = [d for d in range(len(gens) + 1) if d % 2 == 0] if even else list(
-            range(len(gens) + 1)
-        )
-        total = ExteriorElement.zero(gens)
-        import itertools as it
-
-        subsets = [s for d in sizes for s in it.combinations(range(len(gens)), d)]
-        for _ in range(rng.randint(1, 3)):
-            subset = rng.choice(subsets)
-            total = total + ExteriorElement(
-                gens, {subset: self._random_laurent_coeff(rng)}
-            )
-        return total
-
-    def _random_saito(self, rng) -> SaitoForm:
-        variables = self.poly_vars()
-        # h-free part first so gcd(f, h) = 1 is guaranteed
-        denom = self._random_coeff_poly(rng, variables, hfree=True)
-        if denom.is_zero():
-            denom = MultiPoly.const(variables, 1)
-        if rng.random() < 0.5:
-            h = MultiPoly.variable(variables, "h")
-            denom = denom + h * self._random_coeff_poly(rng, variables)
-        gens = self.gens()
-        import itertools as it
-
-        odd = [s for d in range(1, len(gens) + 1, 2) for s in it.combinations(range(len(gens)), d)]
-        even = [s for d in range(0, len(gens) + 1, 2) for s in it.combinations(range(len(gens)), d)]
-        xi = ExteriorElement.zero(gens)
-        eta = ExteriorElement.zero(gens)
-        plain = lambda: LaurentPoly.from_poly(self._random_coeff_poly(rng, variables))
-        for _ in range(rng.randint(0, 2)):
-            xi = xi + ExteriorElement(gens, {rng.choice(odd): plain()})
-        for _ in range(rng.randint(0, 2)):
-            eta = eta + ExteriorElement(gens, {rng.choice(even): plain()})
-        return self._saito_reduce(denom, xi, eta)
+        return self._algebra.random_coeff(rng)
 
 
 def min_exps(p: MultiPoly):
@@ -388,6 +434,38 @@ def _laurent_to_poly(c: LaurentPoly) -> MultiPoly:
     if c.dist:
         raise ContextError("expected a plain polynomial coefficient")
     return c.terms.get((), MultiPoly.zero(c.variables))
+
+
+# -- seeded sweeps: one descriptor per kind and the laws each kind obeys -----------
+
+
+SWEEP_DESCRIPTORS = {
+    "laurent_ms": RBAlgebraDescriptor.laurent_ms(coeff_vars=("c",)),
+    "merom_form": RBAlgebraDescriptor.merom(4),
+    "nc_log_form": RBAlgebraDescriptor.nc_log(2, 2),
+    "smooth_log_form": RBAlgebraDescriptor.smooth_log(3),
+    "saito_form": RBAlgebraDescriptor.saito(3),
+}
+
+# (algebra class flag, law, check) for the laws beyond the Rota-Baxter
+# identity; a kind obeys the laws whose flag its class sets
+EXTRA_LAWS = (
+    ("simple_T", "T^2=T", lambda d, x, y: d.eq(d.T(d.T(x)), d.T(x))),
+    ("simple_T", "T(T(x)y)=T(x)y", lambda d, x, y: d.eq(d.T(d.mul(d.T(x), y)), d.mul(d.T(x), y))),
+    ("simple_T", "T(xT(y))=xT(y)", lambda d, x, y: d.eq(d.T(d.mul(x, d.T(y))), d.mul(x, d.T(y)))),
+    ("derivation_T", "T(x)T(y)=0", lambda d, x, y: d.is_zero(d.mul(d.T(x), d.T(y)))),
+    ("derivation_T", "Leibniz", lambda d, x, y: d.eq(
+        d.T(d.mul(x, y)), d.add(d.mul(d.T(x), y), d.mul(x, d.T(y))))),
+)
+
+
+def failed_laws(desc: RBAlgebraDescriptor, x, y) -> list[str]:
+    """The laws of EXTRA_LAWS that desc's kind obeys but the pair breaks."""
+    return [
+        law
+        for flag, law, holds in EXTRA_LAWS
+        if getattr(desc._algebra, flag) and not holds(desc, x, y)
+    ]
 
 
 # -- defects and residues ----------------------------------------------------------
@@ -417,7 +495,7 @@ def operator_defect(T: Callable, x, y, weight=Fraction(-1)):
 def residue(desc: RBAlgebraDescriptor, x: ExteriorElement, j: int) -> ExteriorElement:
     """Poincare residue along divisor j: the signed dlog_j coefficient with
     f_j set to zero (restriction to the component)."""
-    if desc.kind not in ("nc_log_form", "smooth_log_form"):
+    if not isinstance(desc._algebra, _NcLog):
         raise PreconditionError("residue is defined on log-form algebras")
     if not 1 <= j <= desc.divisors:
         raise PreconditionError(f"divisor index {j} out of range")
@@ -450,26 +528,3 @@ def iterated_residue(
     for j in indices:
         out = residue(desc, out, j)
     return out
-
-
-# -- named operator entry points ------------------------------------------------
-
-
-def T_laurent(x: LaurentPoly) -> LaurentPoly:
-    return x.polar_part("z")
-
-
-def T_merom(x: ExteriorElement) -> ExteriorElement:
-    return x.map_coeffs(lambda c: c.polar_part("f"))
-
-
-def T_nc_log(desc: RBAlgebraDescriptor, x: ExteriorElement) -> ExteriorElement:
-    return desc.T(x)
-
-
-def T_saito(desc: RBAlgebraDescriptor, x: SaitoForm) -> SaitoForm:
-    return desc.T(x)
-
-
-def saito_wedge(desc: RBAlgebraDescriptor, a: SaitoForm, b: SaitoForm) -> SaitoForm:
-    return desc.mul(a, b)

@@ -12,6 +12,7 @@ from rbren import (
     atkinson_closed_form,
     atkinson_solve,
     birkhoff_factorize,
+    birkhoff_parts,
     convolve,
     phi_minus_nonrecursive,
     pole_power_character,
@@ -118,19 +119,17 @@ def test_missing_value_is_reported(library_registry):
 def test_factorization_verifies_on_all_generators(library_registry, laurent_char):
     names = factorize_all(laurent_char, library_registry)
     assert len(names) >= 7
+    minus, plus = birkhoff_parts(laurent_char, library_registry)
     for name in names:
-        ok, defect = verify_factorization(
-            laurent_char, laurent_char._minus, laurent_char._plus, name, library_registry
-        )
+        ok, defect = verify_factorization(laurent_char, minus, plus, name, library_registry)
         assert ok and defect.is_zero()
 
 
 def test_perturbed_plus_part_fails_verification(library_registry, laurent_char):
-    birkhoff_factorize(laurent_char, library_registry, "B")
-    plus = dict(laurent_char._plus)
-    plus["B"] = plus["B"] + z("1")
+    minus, plus = birkhoff_parts(laurent_char, library_registry)
+    perturbed = {"B": plus("B") + z("1")}
     ok, defect = verify_factorization(
-        laurent_char, laurent_char._minus, plus, "B", library_registry
+        laurent_char, minus, perturbed, "B", library_registry
     )
     assert not ok
     assert defect == z("1")
@@ -256,10 +255,9 @@ def test_pole_power_character(library_registry):
     assert char("B") == z("z^-1+1/2")
     assert char("sunset") == z("z^-2+1/2")
     assert char("triangle") == z("z^-1+1/2")  # max(omega, 1) floor
+    minus, plus = birkhoff_parts(char, library_registry)
     for name in factorize_all(char, library_registry):
-        ok, _ = verify_factorization(
-            char, char._minus, char._plus, name, library_registry
-        )
+        ok, _ = verify_factorization(char, minus, plus, name, library_registry)
         assert ok
 
 
@@ -276,14 +274,14 @@ def test_plus_and_minus_parts_are_characters(library_registry, laurent_char):
     import itertools
 
     names = factorize_all(laurent_char, library_registry)
-    minus_char = Character(LAURENT, dict(laurent_char._minus))
+    minus_char, plus_char = birkhoff_parts(laurent_char, library_registry)
     sample = sorted(names)[:6]
     for a, b in itertools.combinations_with_replacement(sample, 2):
         mono = H.mono((a, b))
         via_convolution = convolve(
             minus_char, laurent_char, mono, library_registry
         )
-        product_of_parts = laurent_char._plus[a] * laurent_char._plus[b]
+        product_of_parts = plus_char(a) * plus_char(b)
         assert via_convolution == product_of_parts
 
 
@@ -293,12 +291,13 @@ def test_saito_valued_character(library_registry):
     char = Character(
         desc, rule=lambda name, graph: desc.random_element(rng), reg=library_registry
     )
+    minus_char, plus_char = birkhoff_parts(char, library_registry)
     for name in factorize_all(char, library_registry):
         minus, plus = birkhoff_factorize(char, library_registry, name)
         assert desc.eq(plus, desc.T_complement(char(name)))
         assert desc.eq(phi_minus_nonrecursive(char, library_registry, name), minus)
         ok, defect = verify_factorization(
-            char, char._minus, char._plus, name, library_registry
+            char, minus_char, plus_char, name, library_registry
         )
         assert ok and desc.is_zero(defect)
 

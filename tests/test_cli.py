@@ -6,7 +6,7 @@ from conftest import bubble_graph, gamma2_graph, sunset_graph, tadpole_graph
 from rbren import serde
 from rbren.cli import main, run
 from rbren.motives import parse_class
-from rbren.poly import parse_poly
+from rbren.poly import parse_laurent, parse_poly
 
 
 @pytest.fixture
@@ -146,6 +146,28 @@ def test_birkhoff_factorize_cli(tmp_path, library_file):
     assert result.payload["verified"] is True
     defect = serde.load_laurent(result.payload["defect"])
     assert defect.is_zero()
+
+
+def test_birkhoff_verify_factorizes_the_generators_it_needs(tmp_path, library_file):
+    # the coproduct of sunset has the quotient tadpole as a right leg, so
+    # verification needs phi_plus(tadpole), which factorizing sunset alone
+    # never computes
+    char_path = tmp_path / "char.json"
+    char_path.write_text(
+        json.dumps({"target": {"kind": "laurent_ms"}, "rule": "pole_power", "c": "1/2"})
+    )
+    argv = ["birkhoff", "factorize", "sunset", "--character", str(char_path)]
+    result = run(argv + ["--library", library_file, "--verify"])
+    assert result.status == 0, result.payload
+    assert result.payload["verified"] is True
+    # and only those: Gamma2 verifies with no values for tadpole and sunset
+    values = {"B": serde.dump_laurent(parse_laurent("z^-1", ("z",), ())),
+              "Gamma2": serde.dump_laurent(parse_laurent("z^-2", ("z",), ()))}
+    char_path.write_text(json.dumps({"target": {"kind": "laurent_ms"}, "values": values}))
+    argv = ["birkhoff", "factorize", "Gamma2", "--character", str(char_path)]
+    result = run(argv + ["--library", library_file, "--verify"])
+    assert result.status == 0, result.payload
+    assert result.payload["verified"] is True
 
 
 def test_rb_sweep_cli():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from conftest import banana4_graph, sunset_graph, tadpole_graph
+from conftest import banana4_graph, bubble_graph, sunset_graph, tadpole_graph, triangle_graph
 from rbren import (
     GeneratorRegistry,
     HopfElement,
@@ -209,6 +209,17 @@ def test_explicit_name_supersedes_auto():
     assert before != after
     # the stale auto name still resolves to the same graph
     assert reg.graph(auto_names[0]) is reg.graph("tadpole")
+
+
+def test_alias_name_cannot_be_rebound():
+    reg = GeneratorRegistry(dim=4)
+    assert reg.register("A", bubble_graph()) == "A"
+    assert reg.register("B", bubble_graph()) == "A"
+    with pytest.raises(PreconditionError):
+        reg.register("B", triangle_graph())
+    assert reg.graph("B") is reg.graph("A")
+    assert reg.names() == ("A",)
+    assert reg.register("B", bubble_graph()) == "A"
 
 
 def test_hopf_axioms_on_degree_four_generator():

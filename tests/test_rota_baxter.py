@@ -8,16 +8,18 @@ from rbren import (
     InvariantError,
     LaurentPoly,
     MultiPoly,
+    SWEEP_DESCRIPTORS,
     PreconditionError,
     RBAlgebraDescriptor,
     SaitoForm,
+    failed_laws,
     iterated_residue,
     operator_defect,
     rb_defect,
     residue,
 )
 from rbren.poly import parse_laurent
-from rbren.rota_baxter import T_laurent
+from rbren.rota_baxter import EXTRA_LAWS
 
 
 def laurent(text):
@@ -25,10 +27,10 @@ def laurent(text):
 
 
 def test_laurent_polar_projection():
-    assert T_laurent(laurent("z^-1+5+z")) == laurent("z^-1")
-    assert T_laurent(laurent("7")).is_zero()
-    assert T_laurent(laurent("3*z^-2-z^-1+z^3")) == laurent("3*z^-2-z^-1")
-    t = T_laurent
+    t = RBAlgebraDescriptor.laurent_ms().T
+    assert t(laurent("z^-1+5+z")) == laurent("z^-1")
+    assert t(laurent("7")).is_zero()
+    assert t(laurent("3*z^-2-z^-1+z^3")) == laurent("3*z^-2-z^-1")
     x = laurent("z^-2+4+z")
     assert t(t(x)) == t(x)
 
@@ -225,18 +227,9 @@ def test_saito_equality_is_cross_multiplied():
 # -- seeded identity sweeps (smaller versions; acceptance runs the full sizes) ------
 
 
-KINDS = {
-    "laurent_ms": lambda: RBAlgebraDescriptor.laurent_ms(coeff_vars=("c",)),
-    "merom_form": lambda: RBAlgebraDescriptor.merom(4),
-    "nc_log_form": lambda: RBAlgebraDescriptor.nc_log(2, 2),
-    "smooth_log_form": lambda: RBAlgebraDescriptor.smooth_log(3),
-    "saito_form": lambda: RBAlgebraDescriptor.saito(3),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("kind", sorted(SWEEP_DESCRIPTORS))
 def test_weight_minus_one_identity_sample(kind):
-    desc = KINDS[kind]()
+    desc = SWEEP_DESCRIPTORS[kind]
     rng = random.Random(5)
     for _ in range(100):
         x = desc.random_element(rng)
@@ -244,11 +237,20 @@ def test_weight_minus_one_identity_sample(kind):
         assert desc.is_zero(rb_defect(desc, x, y))
 
 
+def test_extra_laws_detect_a_breach():
+    # minimal subtraction breaks absorption and Leibniz, as T(z^-1 * z^2) = 0
+    # but T(z^-1) * z^2 = z; its kind claims neither law
+    desc = RBAlgebraDescriptor.laurent_ms()
+    x, y = laurent("z^-1"), laurent("z^2")
+    broken = [law for _, law, holds in EXTRA_LAWS if not holds(desc, x, y)]
+    assert broken == ["T(T(x)y)=T(x)y", "Leibniz"]
+    assert failed_laws(desc, x, y) == []
+
+
 def test_T_complement_splits_every_element():
-    for kind, mk in KINDS.items():
+    for kind, desc in SWEEP_DESCRIPTORS.items():
         if kind == "saito_form":
             continue
-        desc = mk()
         rng = random.Random(9)
         for _ in range(30):
             x = desc.random_element(rng)

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +7,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(*argv):
+    # as from a plain checkout: the package is neither installed nor on PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True
     )
 
 

@@ -110,22 +110,23 @@ class FeynmanGraph:
 # -- connectivity -----------------------------------------------------------
 
 
+def _find(parent, v):
+    """Union-find root of v, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 def connected_components(g: FeynmanGraph) -> list[frozenset[VertexId]]:
     parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for _, tail, head in g.internal_edges:
-        a, b = find(tail), find(head)
+        a, b = _find(parent, tail), _find(parent, head)
         if a != b:
             parent[a] = b
     groups: dict[VertexId, set[VertexId]] = {}
     for v in g.vertices:
-        groups.setdefault(find(v), set()).add(v)
+        groups.setdefault(_find(parent, v), set()).add(v)
     return [frozenset(s) for s in groups.values()]
 
 
@@ -137,39 +138,96 @@ def loop_number(g: FeynmanGraph) -> int:
     return len(g.internal_edges) - len(g.vertices) + len(connected_components(g))
 
 
+def _edge_ends(g: FeynmanGraph) -> list[tuple[int, int]]:
+    """(tail, head) of every internal edge as indices into g.vertices."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return [(index[tail], index[head]) for _, tail, head in g.internal_edges]
+
+
+def _is_2_edge_connected(n: int, ends: list[tuple[int, int]]) -> bool:
+    """Connected and bridgeless, for the multigraph on vertices 0..n-1 with
+    edge i joining ends[i].
+
+    One iterative Tarjan lowlink search, O(n + edges).  A vertex steps back
+    only over the edge id it came by, so a parallel edge is a back edge and
+    a self-loop never lowers anything.
+    """
+    if n <= 1:
+        return True
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(ends):
+        adjacency[a].append((b, i))
+        adjacency[b].append((a, i))
+    disc = [-1] * n
+    low = [0] * n
+    disc[0] = 0
+    visited = 1
+    stack = [(0, -1, iter(adjacency[0]))]
+    while stack:
+        v, via, todo = stack[-1]
+        for w, i in todo:
+            if i == via:
+                continue
+            if disc[w] < 0:
+                disc[w] = low[w] = visited
+                visited += 1
+                stack.append((w, i, iter(adjacency[w])))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[v] > disc[parent]:
+                    return False  # the edge ``via`` is a bridge
+                low[parent] = min(low[parent], low[v])
+    return visited == n
+
+
 def edge_connectivity(g: FeynmanGraph) -> int | float:
     """Minimum number of internal edges whose removal disconnects g.
 
-    Equals the minimum crossing count over proper vertex bipartitions;
-    self-loops never cross.  A graph on fewer than two vertices cannot be
-    disconnected, giving math.inf.
+    Stoer-Wagner minimum cut on the vertices weighted by edge multiplicity,
+    self-loops dropped (they never cross a cut): n - 1 maximum-adjacency
+    phases, O(n^3) for n vertices.  A graph on fewer than two vertices
+    cannot be disconnected, giving math.inf.
     """
     if not is_connected(g):
         raise DisconnectedError("edge connectivity needs a connected graph")
     n = len(g.vertices)
     if n < 2:
         return math.inf
-    order = list(g.vertices)
-    best = None
-    # fix vertex 0 on one side; enumerate the rest
-    for bits in range(2 ** (n - 1)):
-        side = {order[0]}
-        for i in range(1, n):
-            if bits & (1 << (i - 1)):
-                side.add(order[i])
-        if len(side) == n:
-            continue
-        crossing = sum(
-            1 for _, t, h in g.internal_edges if (t in side) != (h in side)
-        )
-        if best is None or crossing < best:
-            best = crossing
+    weight = [[0] * n for _ in range(n)]
+    for a, b in _edge_ends(g):
+        if a != b:
+            weight[a][b] += 1
+            weight[b][a] += 1
+    alive = list(range(n))
+    best = math.inf
+    while len(alive) > 1:
+        # add vertices in maximum-adjacency order; the last one's attachment
+        # is the cut of the phase, then it merges into the one before it
+        attach = {v: weight[alive[0]][v] for v in alive[1:]}
+        last = alive[0]
+        while attach:
+            before = last
+            last = max(attach, key=attach.__getitem__)
+            cut = attach.pop(last)
+            for v in attach:
+                attach[v] += weight[last][v]
+        best = min(best, cut)
+        alive.remove(last)
+        for v in alive:
+            weight[before][v] += weight[last][v]
+            weight[v][before] = weight[before][v]
+        weight[before][before] = 0
     return best
 
 
 def is_1pi(g: FeynmanGraph) -> bool:
-    """One-particle-irreducible: connected and 2-edge-connected."""
-    return is_connected(g) and edge_connectivity(g) >= 2
+    """One-particle-irreducible: connected and bridgeless (2-edge-connected),
+    by one linear-time lowlink search."""
+    return _is_2_edge_connected(len(g.vertices), _edge_ends(g))
 
 
 # -- spanning trees and cut sets ---------------------------------------------
@@ -183,16 +241,9 @@ def spanning_trees(g: FeynmanGraph) -> list[frozenset[EdgeId]]:
     trees = []
     for combo in itertools.combinations(usable, n - 1):
         parent = {v: v for v in g.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
         ok = True
         for _, tail, head in combo:
-            a, b = find(tail), find(head)
+            a, b = _find(parent, tail), _find(parent, head)
             if a == b:
                 ok = False
                 break
@@ -314,37 +365,107 @@ def divergent_subgraphs(
 ) -> list[SubgraphSpec]:
     """Proper non-empty edge subsets whose components are all divergent and
     1PI and whose contraction is again 1PI (respecting the valence set when
-    the graph declares one).
+    the graph declares one), by size and then by edge ids.
+
+    An edge set whose components are all 1PI is exactly a union of circuits,
+    so only those sets are visited: the union closure of the graph's circuits
+    (self-loops, parallel pairs and simple cycles) as edge bitmasks, whose
+    components are bridgeless by construction.  Each candidate costs
+    near-linear integer work: union-find for its components, then one
+    lowlink search and a valence count on the contracted multigraph.
+    ``degree_fn`` sees the ``subgraph_view`` of each distinct component of a
+    surviving candidate, once per call.  The total is O(U * (C + |E|)) for U
+    unions of C circuits, where a subset scan costs 2^|E| tests.
     """
     degree_fn = degree_fn or superficial_degree
     ids = g.edge_ids()
+    ends = _edge_ends(g)
+    n = len(g.vertices)
+    legs = list(g.external_multiplicity().values())
+
+    def spec_of(members: tuple[int, ...]) -> SubgraphSpec:
+        verts = {g.vertices[v] for i in members for v in ends[i]}
+        return SubgraphSpec(frozenset(ids[i] for i in members), frozenset(verts))
+
+    divergent: dict[tuple[int, ...], bool] = {}  # component -> degree >= 0
+
+    def is_divergent(members: tuple[int, ...]) -> bool:
+        if members not in divergent:
+            view = subgraph_view(g, spec_of(members))
+            divergent[members] = degree_fn(view, dim) >= 0
+        return divergent[members]
+
     found = []
-    for size in range(1, len(ids)):
-        if even_only and size % 2 != 0:
+    for mask in _circuit_unions(n, ends):
+        members = tuple(i for i in range(len(ids)) if mask >> i & 1)
+        if len(members) == len(ids) or (even_only and len(members) % 2):
             continue
-        for combo in itertools.combinations(ids, size):
-            spec = SubgraphSpec.from_edges(g, combo)
-            if not _spec_is_divergent(g, spec, dim, degree_fn):
+        root = list(range(n))
+        for i in members:
+            a, b = ends[i]
+            root[_find(root, a)] = _find(root, b)
+        root = [_find(root, v) for v in range(n)]
+        # the contraction: one vertex per root
+        label = {r: k for k, r in enumerate(dict.fromkeys(root))}
+        rest = [
+            (label[root[a]], label[root[b]])
+            for i, (a, b) in enumerate(ends)
+            if not mask >> i & 1
+        ]
+        if not _is_2_edge_connected(len(label), rest):
+            continue
+        if g.valences is not None:
+            valence = [0] * len(label)
+            for v in range(n):
+                valence[label[root[v]]] += legs[v]
+            for a, b in rest:
+                valence[a] += 1
+                valence[b] += 1
+            if not all(val in g.valences for val in valence):
                 continue
-            q = quotient(g, spec)
-            if not is_1pi(q):
-                continue
-            if g.valences is not None and not all(
-                val in g.valences for val in q.vertex_valences().values()
-            ):
-                continue
-            found.append(spec)
-    return sorted(found, key=lambda s: (len(s.edges), _sort_ids(s.edges)))
+        components: dict[int, tuple[int, ...]] = {}
+        for i in members:
+            r = root[ends[i][0]]
+            components[r] = components.get(r, ()) + (i,)
+        if all(is_divergent(c) for c in components.values()):
+            found.append(members)
+    # subset-scan order (size, then edge positions) before the id sort, so
+    # ids of mixed types meet the same comparisons as in a subset scan
+    found.sort(key=lambda members: (len(members), members))
+    specs = [spec_of(members) for members in found]
+    return sorted(specs, key=lambda s: (len(s.edges), _sort_ids(s.edges)))
 
 
-def _spec_is_divergent(g, spec, dim, degree_fn) -> bool:
-    for comp in subgraph_components(g, spec):
-        view = subgraph_view(g, comp)
-        if not is_1pi(view):
-            return False
-        if degree_fn(view, dim) < 0:
-            return False
-    return True
+def _circuit_unions(n: int, ends: list[tuple[int, int]]) -> set[int]:
+    """Every non-empty union of circuits of the multigraph on 0..n-1, as edge
+    bitmasks; these are its bridgeless edge sets."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    circuits = set()
+    for i, (a, b) in enumerate(ends):
+        if a == b:
+            circuits.add(1 << i)
+        else:
+            adjacency[a].append((b, i))
+            adjacency[b].append((a, i))
+    # each circuit through two or more vertices is a path leaving its smallest
+    # vertex s, through larger vertices only, and closing at s
+    for s in range(n):
+        stack = [(s, 1 << s, 0)]
+        while stack:
+            v, seen, used = stack.pop()
+            for w, i in adjacency[v]:
+                if used >> i & 1:
+                    continue
+                if w == s:
+                    if used:
+                        circuits.add(used | 1 << i)
+                elif w > s and not seen >> w & 1:
+                    stack.append((w, seen | 1 << w, used | 1 << i))
+    unions: set[int] = set()
+    for c in sorted(circuits):
+        unions |= {u | c for u in unions}
+        unions.add(c)
+    return unions
 
 
 # -- cycle basis ---------------------------------------------------------------
@@ -360,18 +481,11 @@ def cycle_basis_matrix(g: FeynmanGraph) -> list[list[int]]:
     if not is_connected(g):
         raise DisconnectedError("cycle basis needs a connected graph")
     parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     tree = []
     chords = []
     for e in g.internal_edges:
         _, tail, head = e
-        a, b = find(tail), find(head)
+        a, b = _find(parent, tail), _find(parent, head)
         if a != b:
             parent[a] = b
             tree.append(e)

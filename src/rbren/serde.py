@@ -17,7 +17,15 @@ from .graphs import FeynmanGraph
 from .hopf import HopfElement, TensorElement
 from .motives import Arrangement
 from .poly import LaurentPoly, MultiPoly
-from .rota_baxter import RBAlgebraDescriptor, SaitoForm
+from .rota_baxter import (
+    RBAlgebraDescriptor,
+    SaitoForm,
+    _Laurent,
+    _Merom,
+    _NcLog,
+    _Saito,
+    _SmoothLog,
+)
 
 
 def frac_str(q: Fraction) -> str:
@@ -152,20 +160,24 @@ def load_descriptor(data: dict) -> RBAlgebraDescriptor:
     )
 
 
+# the element schema of each algebra class: (dump(x, desc), load(data))
+_ELEMENT_SCHEMAS = {
+    _Laurent: (lambda x, desc: dump_laurent(x), load_laurent),
+    _Merom: (dump_exterior, load_exterior),
+    _NcLog: (dump_exterior, load_exterior),
+    _SmoothLog: (dump_exterior, load_exterior),
+    _Saito: (lambda x, desc: dump_saito(x), load_saito),
+}
+
+
 def dump_element(desc: RBAlgebraDescriptor, x) -> Any:
-    if desc.kind == "laurent_ms":
-        return dump_laurent(x)
-    if desc.kind == "saito_form":
-        return dump_saito(x)
-    return dump_exterior(x, desc)
+    dump, _ = _ELEMENT_SCHEMAS[desc.algebra_class]
+    return dump(x, desc)
 
 
 def load_element(desc: RBAlgebraDescriptor, data) -> Any:
-    if desc.kind == "laurent_ms":
-        return load_laurent(data)
-    if desc.kind == "saito_form":
-        return load_saito(data)
-    return load_exterior(data)
+    _, load = _ELEMENT_SCHEMAS[desc.algebra_class]
+    return load(data)
 
 
 # -- graphs ------------------------------------------------------------------------
@@ -256,7 +268,7 @@ def load_character(data: dict, reg=None):
     if data.get("rule") == "pole_power":
         if reg is None:
             raise PreconditionError("the pole_power rule needs a generator registry")
-        if target.kind != "laurent_ms":
+        if target.algebra_class is not _Laurent:
             raise PreconditionError("the pole_power rule targets laurent_ms")
         return pole_power_character(
             reg, c=parse_frac(data.get("c", 0)), coeff_vars=target.coeff_vars

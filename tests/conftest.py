@@ -106,6 +106,28 @@ def bridged_triangles_graph() -> FeynmanGraph:
     return FeynmanGraph(("a", "b", "c", "d", "e", "f"), edges, ())
 
 
+def wheel_graph(n: int) -> FeynmanGraph:
+    """W_n: a hub joined to an n-cycle (n loops, 2n edges), legs p/-p on the
+    rim."""
+    rim = [f"r{i}" for i in range(n)]
+    edges = [(f"s{i}", "h", rim[i]) for i in range(n)]
+    edges += [(f"c{i}", rim[i], rim[(i + 1) % n]) for i in range(n)]
+    return FeynmanGraph(
+        tuple(["h"] + rim), tuple(edges), ((rim[0], P1), (rim[n // 2], _neg(P1)))
+    )
+
+
+def ladder_graph(n: int) -> FeynmanGraph:
+    """L_n: a ladder with n rungs (n - 1 loops, 3n - 2 edges), legs p/-p at
+    opposite corners."""
+    a = [f"a{i}" for i in range(n)]
+    b = [f"b{i}" for i in range(n)]
+    edges = [(f"r{i}", a[i], b[i]) for i in range(n)]
+    edges += [(f"x{i}", a[i], a[i + 1]) for i in range(n - 1)]
+    edges += [(f"y{i}", b[i], b[i + 1]) for i in range(n - 1)]
+    return FeynmanGraph(tuple(a + b), tuple(edges), ((a[0], P1), (b[-1], _neg(P1))))
+
+
 @pytest.fixture
 def bubble():
     return bubble_graph()

@@ -1,9 +1,11 @@
 """Independent brute-force oracles.
 
 Everything here recomputes expected values from first principles with code
-paths disjoint from the library: subset enumeration for connectivity,
-Laplacian minors for tree counts, exhaustive finite-field point counting for
-class polynomials.
+paths disjoint from the library: subset enumeration for connectivity and
+divergent subgraphs, Laplacian minors for tree counts, exhaustive
+finite-field point counting for class polynomials.  The one library call is
+``subgraph_view``, which builds the graph a custom degree function is
+specified on.
 """
 
 from __future__ import annotations
@@ -88,52 +90,84 @@ def _det_fraction(m) -> Fraction:
 
 
 def is_two_edge_connected(vertices, edges) -> bool:
+    """Connected, and still connected after deleting any one edge."""
+    edges = list(edges)
     if len(components(vertices, edges)) > 1:
         return False
-    return brute_edge_connectivity(vertices, edges) >= 2
+    return all(
+        len(components(vertices, edges[:i] + edges[i + 1 :])) <= 1
+        for i in range(len(edges))
+    )
 
 
-def brute_divergent_subsets(vertices, edges, dim: int) -> list[frozenset[int]]:
-    """Edge index subsets that are proper, non-empty, componentwise
-    2-edge-connected and power-counting divergent, with 2-edge-connected
-    contraction.  ``edges`` is a list of (tail, head) pairs."""
-    n = len(edges)
-    out = []
-    for size in range(1, n):
-        for combo in itertools.combinations(range(n), size):
-            sub = [edges[i] for i in combo]
-            sub_vertices = {v for e in sub for v in e}
-            comps = components(sub_vertices, sub)
-            good = True
-            for comp in comps:
-                comp_edges = [e for e in sub if e[0] in comp]
-                cv = len(comp)
-                ce = len(comp_edges)
-                loops = ce - cv + 1
-                if dim * loops - 2 * ce < 0:
-                    good = False
-                    break
-                if not is_two_edge_connected(comp, comp_edges):
-                    good = False
-                    break
-            if not good:
-                continue
-            # contract each component to a vertex
-            mapping = {}
-            for comp in comps:
-                rep = min(str(v) for v in comp)
-                for v in comp:
-                    mapping[v] = f"c{rep}"
-            quotient_edges = []
-            for i, (a, b) in enumerate(edges):
-                if i in combo:
-                    continue
-                quotient_edges.append((mapping.get(a, a), mapping.get(b, b)))
-            q_vertices = {mapping.get(v, v) for v in vertices}
-            if not is_two_edge_connected(q_vertices, quotient_edges):
-                continue
-            out.append(frozenset(combo))
-    return out
+def _sort_ids(ids):
+    return tuple(sorted(ids, key=lambda x: (isinstance(x, str), str(x))))
+
+
+def spec_is_divergent(g, spec, dim: int, degree_fn=None) -> bool:
+    """The per-spec predicates of a coproduct subgraph, by brute force: every
+    component is 2-edge-connected and divergent, and the contraction of the
+    components is 2-edge-connected with its valences in the graph's valence
+    set (when it declares one).
+
+    The default degree is counted here from the component's edges and
+    vertices; a custom ``degree_fn`` is handed the library's
+    ``subgraph_view`` of each component, the graph it is specified on."""
+    sub = [(eid, t, h) for eid, t, h in g.internal_edges if eid in spec.edges]
+    comps = [
+        (comp, [e for e in sub if e[1] in comp])
+        for comp in components(spec.vertices, [(t, h) for _, t, h in sub])
+    ]
+    if degree_fn is None:
+        # dim * loops - 2 * edges, checked first because it is cheap
+        if any(dim * (len(es) - len(c) + 1) - 2 * len(es) < 0 for c, es in comps):
+            return False
+    if not all(is_two_edge_connected(c, [(t, h) for _, t, h in es]) for c, es in comps):
+        return False
+    if degree_fn is not None:
+        from rbren import SubgraphSpec, subgraph_view
+
+        for c, es in comps:
+            view = subgraph_view(g, SubgraphSpec(frozenset(e[0] for e in es), frozenset(c)))
+            if degree_fn(view, dim) < 0:
+                return False
+    # contract each component to one vertex
+    mapping = {v: v for v in g.vertices}
+    for k, (comp, _) in enumerate(comps):
+        for v in comp:
+            mapping[v] = ("component", k)
+    rest = [(mapping[t], mapping[h]) for eid, t, h in g.internal_edges if eid not in spec.edges]
+    q_vertices = set(mapping.values())
+    if not is_two_edge_connected(q_vertices, rest):
+        return False
+    if g.valences is not None:
+        valence = {v: 0 for v in q_vertices}
+        for v, _ in g.external_edges:
+            valence[mapping[v]] += 1
+        for a, b in rest:
+            valence[a] += 1
+            valence[b] += 1
+        if any(val not in g.valences for val in valence.values()):
+            return False
+    return True
+
+
+def brute_divergent_subgraphs(g, dim: int, even_only: bool = False, degree_fn=None):
+    """The 2^|E| subset scan: every proper non-empty edge subset (of even size
+    under ``even_only``) that passes ``spec_is_divergent``, sorted by size and
+    then by edge ids."""
+    from rbren import SubgraphSpec
+
+    ids = g.edge_ids()
+    found = []
+    for size in range(1, len(ids)):
+        if even_only and size % 2:
+            continue
+        for combo in itertools.combinations(ids, size):
+            spec = SubgraphSpec.from_edges(g, combo)
+            if spec_is_divergent(g, spec, dim, degree_fn):
+                found.append(spec)
+    return sorted(found, key=lambda s: (len(s.edges), _sort_ids(s.edges)))
 
 
 # -- finite-field oracles -----------------------------------------------------------

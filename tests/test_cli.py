@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from conftest import bubble_graph, gamma2_graph, sunset_graph, tadpole_graph
+from conftest import (
+    bubble_graph,
+    gamma2_graph,
+    sunset_graph,
+    tadpole_graph,
+    wheel_graph,
+)
 from rbren import serde
 from rbren.cli import main, run
 from rbren.motives import parse_class
@@ -113,6 +119,15 @@ def test_graph_info_and_trees(sunset_file):
     assert info["is_1pi"]
     trees = run(["graph", "trees", sunset_file]).payload
     assert trees == {"spanning_trees": [["e1"], ["e2"], ["e3"]]}
+
+
+def test_graph_divergent_on_w7(tmp_path, capsys):
+    # 14 edges: a subset scan would test 2^14 - 2 subsets
+    path = tmp_path / "w7.json"
+    path.write_text(json.dumps(serde.dump_graph(wheel_graph(7))))
+    assert main(["graph", "divergent", str(path), "--dim", "6"]) == 0
+    found = json.loads(capsys.readouterr().out)["divergent_subgraphs"]
+    assert len(found) == 483 and found[0] == ["c0", "s0", "s1"]
 
 
 def test_graph_quotient_round_trip(sunset_file):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +13,10 @@ from conftest import (
     bridged_triangles_graph,
     bubble_graph,
     gamma2_graph,
+    ladder_graph,
     single_edge_graph,
     tadpole_graph,
+    wheel_graph,
 )
 from rbren import (
     ContextError,
@@ -123,13 +127,7 @@ def test_divergent_subgraphs_gamma2(gamma2):
 
 def test_divergent_subgraphs_match_brute_force(gamma2, sunset, banana4):
     for g in (gamma2, sunset, banana4, gamma2_graph()):
-        ids = g.edge_ids()
-        expected = oracles.brute_divergent_subsets(g.vertices, pairs(g), 4)
-        got = {
-            frozenset(ids.index(e) for e in spec.edges)
-            for spec in divergent_subgraphs(g, 4)
-        }
-        assert got == set(expected)
+        assert divergent_subgraphs(g, 4) == oracles.brute_divergent_subgraphs(g, 4)
 
 
 def test_divergent_subgraphs_valence_restriction(gamma2):
@@ -291,16 +289,15 @@ def test_random_edge_connectivity_matches_brute_force(g):
     assert edge_connectivity(g) == oracles.brute_edge_connectivity(g.vertices, pairs(g))
 
 
-def test_exhaustive_tree_count_matches_laplacian():
-    """Every connected multigraph with <= 6 edges and <= 5 vertices."""
-    import itertools
-
-    checked = 0
-    for n_vertices in range(1, 6):
+def connected_multigraphs(max_vertices, max_edges):
+    """Every connected multigraph on vertices 0..n-1 with n <= max_vertices
+    and 1..max_edges edges, self-loops and parallel edges included (one edge
+    list per multiset of vertex pairs)."""
+    for n_vertices in range(1, max_vertices + 1):
         vertex_pairs = [
             (a, b) for a in range(n_vertices) for b in range(a, n_vertices)
         ]
-        for n_edges in range(1, 7):
+        for n_edges in range(1, max_edges + 1):
             for combo in itertools.combinations_with_replacement(
                 vertex_pairs, n_edges
             ):
@@ -310,13 +307,123 @@ def test_exhaustive_tree_count_matches_laplacian():
                     tuple(range(n_vertices)),
                     tuple((f"e{i}", a, b) for i, (a, b) in enumerate(combo)),
                 )
-                if len(connected_components(g)) != 1:
-                    continue
-                checked += 1
-                assert len(spanning_trees(g)) == oracles.laplacian_tree_count(
-                    g.vertices, pairs(g)
-                )
+                if len(connected_components(g)) == 1:
+                    yield g
+
+
+def test_exhaustive_tree_count_matches_laplacian():
+    """Every connected multigraph with <= 6 edges and <= 5 vertices."""
+    checked = 0
+    for g in connected_multigraphs(5, 6):
+        checked += 1
+        assert len(spanning_trees(g)) == oracles.laplacian_tree_count(
+            g.vertices, pairs(g)
+        )
     assert checked > 10000
+
+
+def test_exhaustive_is_1pi_and_edge_connectivity_match_brute_force():
+    """Every connected multigraph with <= 6 edges and <= 5 vertices."""
+    checked = 0
+    for g in connected_multigraphs(5, 6):
+        checked += 1
+        assert edge_connectivity(g) == oracles.brute_edge_connectivity(
+            g.vertices, pairs(g)
+        )
+        assert is_1pi(g) == oracles.is_two_edge_connected(g.vertices, pairs(g))
+    assert checked == 12702
+
+
+def test_edge_connectivity_matches_networkx_stoer_wagner():
+    """Seeded random connected multigraphs with self-loops and parallel
+    edges on up to 12 vertices, and L6, against networkx's Stoer-Wagner on
+    the multiplicity-weighted simple graph without self-loops."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20140)
+    graphs = [ladder_graph(6), wheel_graph(7)]
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        edges = [(v, rng.randrange(v)) for v in range(1, n)]  # a spanning tree
+        edges += [
+            (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))
+        ]
+        rng.shuffle(edges)
+        graphs.append(
+            FeynmanGraph(
+                tuple(range(n)), tuple((f"e{i}", a, b) for i, (a, b) in enumerate(edges))
+            )
+        )
+    loops = 0
+    for g in graphs:
+        simple = nx.Graph()
+        simple.add_nodes_from(g.vertices)
+        for a, b in pairs(g):
+            if a == b:
+                loops += 1
+                continue
+            weight = simple.get_edge_data(a, b, {"weight": 0})["weight"]
+            simple.add_edge(a, b, weight=weight + 1)
+        cut, _ = nx.stoer_wagner(simple)
+        assert edge_connectivity(g) == cut
+    assert loops > 0
+    one_vertex = FeynmanGraph((0,), (("e0", 0, 0), ("e1", 0, 0)))
+    assert edge_connectivity(one_vertex) == math.inf
+    assert is_1pi(one_vertex)
+
+
+def leg_degree(view, dim):
+    """A custom power counting read off the view's legs."""
+    return dim - len(view.external_edges)
+
+
+def with_legs(g, valences=None):
+    first, last = g.vertices[0], g.vertices[-1]
+    legs = ((first, (F(1),)), (last, (F(-1),)))
+    return FeynmanGraph(g.vertices, g.internal_edges, legs, valences)
+
+
+def test_divergent_subgraphs_match_subset_scan_exhaustively():
+    """Every connected multigraph with <= 5 edges and <= 4 vertices, with and
+    without legs, in dims 2/4/6 under both even_only values, plus a valence
+    set and a custom degree function: equal lists, order included."""
+    checked = 0
+    for g in connected_multigraphs(4, 5):
+        checked += 1
+        legged = with_legs(g)
+        for graph in (g, legged):
+            for dim in (2, 4, 6):
+                for even_only in (False, True):
+                    assert divergent_subgraphs(
+                        graph, dim, even_only
+                    ) == oracles.brute_divergent_subgraphs(graph, dim, even_only)
+        restricted = with_legs(g, frozenset({3, 4}))
+        for even_only in (False, True):
+            assert divergent_subgraphs(
+                restricted, 4, even_only
+            ) == oracles.brute_divergent_subgraphs(restricted, 4, even_only)
+            assert divergent_subgraphs(
+                legged, 4, even_only, leg_degree
+            ) == oracles.brute_divergent_subgraphs(legged, 4, even_only, leg_degree)
+    assert checked == 953
+
+
+def test_divergent_subgraphs_of_w6_match_subset_scan():
+    g = wheel_graph(6)
+    found = divergent_subgraphs(g, 6)
+    assert found == oracles.brute_divergent_subgraphs(g, 6)
+    assert len(found) == 211
+
+
+def test_divergent_subgraphs_scale_to_w7_and_l6():
+    """14 and 16 edges (a subset scan is 2^14 and 2^16 tests); every spec
+    found passes the brute-force per-spec predicates."""
+    for g in (wheel_graph(7), ladder_graph(6)):
+        total = 0
+        for dim in (4, 6, 8):
+            for spec in divergent_subgraphs(g, dim):
+                assert oracles.spec_is_divergent(g, spec, dim)
+                total += 1
+        assert total > 0
 
 
 def test_canonical_key_permutation_guard():

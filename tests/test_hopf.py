@@ -77,9 +77,7 @@ def test_reduced_coproduct_matches_subset_oracle(library_registry):
     # structural cross-check: term multiplicity equals the number of
     # divergent edge subsets found by the independent enumerator
     g = banana4_graph()
-    expected = oracles.brute_divergent_subsets(
-        g.vertices, [(t, h) for _, t, h in g.internal_edges], 4
-    )
+    expected = oracles.brute_divergent_subgraphs(g, 4)
     got = reduced_coproduct(H.gen("banana4"), library_registry)
     assert sum(got.terms.values()) == len(expected) == 10
 

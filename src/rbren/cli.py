@@ -9,6 +9,7 @@ Domain errors exit 1 with {"error": {"code", "message"}}; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -399,6 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 _DISPATCH = {
     "graph": _cmd_graph,
     "hopf": _cmd_hopf,
@@ -410,9 +417,8 @@ _DISPATCH = {
 
 
 def run(argv: list[str]) -> CommandResult:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return CommandResult(int(exc.code or 0), {"error": {"code": "usage"}})
     try:

@@ -34,6 +34,12 @@ def _sort_ids(ids):
     return tuple(sorted(ids, key=lambda x: (isinstance(x, str), str(x))))
 
 
+def _id_order(ids) -> tuple[tuple[bool, EdgeId], ...]:
+    """Sort key of an id set: its sorted ids, each paired with its type, so
+    that an int id and a str id are never compared with each other."""
+    return tuple((isinstance(x, str), x) for x in _sort_ids(ids))
+
+
 @dataclass(frozen=True)
 class FeynmanGraph:
     vertices: tuple[VertexId, ...]
@@ -230,47 +236,99 @@ def is_1pi(g: FeynmanGraph) -> bool:
     return _is_2_edge_connected(len(g.vertices), _edge_ends(g))
 
 
-# -- spanning trees and cut sets ---------------------------------------------
+# -- spanning forests, trees and cut sets ---------------------------------------
+
+
+def _spanning_forests(g: FeynmanGraph, k: int) -> list[tuple[int, list[int]]]:
+    """Every spanning forest of g with exactly k trees, over its non-loop
+    edges, as (edge bitmask over g.internal_edges, roots); roots[v] is the
+    representative vertex index of the tree holding vertex index v.
+
+    Include/exclude backtracking over the edges in declared order, the chosen
+    edges' trees kept as a root list.  An edge is included only if it joins
+    two trees while more than k remain; it is excluded only if the chosen
+    edges plus the later ones still leave at most k components.  Either rule
+    keeps a completion open, so every leaf is a forest and the cost is
+    output-polynomial (Read & Tarjan, Networks 5, 1975): O(|E| (|V| + |E|))
+    per forest, where a subset scan tests C(|E|, |V| - k) edge sets.
+    """
+    ends = [(i, a, b) for i, (a, b) in enumerate(_edge_ends(g)) if a != b]
+    n = len(g.vertices)
+    if n == 0:
+        raise ValueError("a graph without vertices has no spanning forest")
+    if not _at_most_components(list(range(n)), n, ends, 1):
+        raise DisconnectedError("spanning trees need a connected graph")
+    forests: list[tuple[int, list[int]]] = []
+    if n < k:
+        return forests
+    later = [ends[pos + 1 :] for pos in range(len(ends))]
+
+    def grow(pos: int, mask: int, roots: list[int], trees: int) -> None:
+        # once k trees remain, every later edge is excluded
+        while trees > k:
+            i, a, b = ends[pos]
+            ra, rb = roots[a], roots[b]
+            pos += 1
+            if ra == rb:
+                continue
+            joined = [ra if r == rb else r for r in roots]
+            if _at_most_components(roots, trees, later[pos - 1], k):
+                grow(pos, mask | 1 << i, joined, trees - 1)
+            else:
+                mask, roots, trees = mask | 1 << i, joined, trees - 1
+        forests.append((mask, roots))
+
+    grow(0, 0, list(range(n)), n)
+    return forests
+
+
+def _at_most_components(roots, trees, ends, k) -> bool:
+    """Whether the trees given by ``roots`` joined by the (i, a, b) edges
+    ``ends`` form at most k components."""
+    if trees <= k:
+        return True
+    parent = list(roots)
+    for _, a, b in ends:
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+            trees -= 1
+            if trees == k:
+                return True
+    return False
+
+
+def _sorted_edge_sets(g: FeynmanGraph, masks: list[int]) -> list[frozenset[EdgeId]]:
+    """The edge sets of the bitmasks, ordered by ``_id_order``: each set is
+    keyed on the ranks of its ids, listed in ``_sort_ids`` order, where a
+    rank is an id's place among the ``_id_order`` pairs."""
+    ids = g.edge_ids()
+    position = {eid: i for i, eid in enumerate(ids)}
+    order = [position[eid] for eid in _sort_ids(ids)]
+    rank = [0] * len(ids)
+    for r, (_, eid) in enumerate(sorted(_id_order(ids))):
+        rank[position[eid]] = r
+
+    def key(mask):
+        return tuple(rank[i] for i in order if mask >> i & 1)
+
+    return [
+        frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+        for mask in sorted(masks, key=key)
+    ]
 
 
 def spanning_trees(g: FeynmanGraph) -> list[frozenset[EdgeId]]:
-    if not is_connected(g):
-        raise DisconnectedError("spanning trees need a connected graph")
-    n = len(g.vertices)
-    usable = [e for e in g.internal_edges if e[1] != e[2]]
-    trees = []
-    for combo in itertools.combinations(usable, n - 1):
-        parent = {v: v for v in g.vertices}
-        ok = True
-        for _, tail, head in combo:
-            a, b = _find(parent, tail), _find(parent, head)
-            if a == b:
-                ok = False
-                break
-            parent[a] = b
-        if ok:
-            trees.append(frozenset(e[0] for e in combo))
-    return sorted(trees, key=lambda t: _sort_ids(t))
+    return _sorted_edge_sets(g, [mask for mask, _ in _spanning_forests(g, 1)])
 
 
 def cut_sets(g: FeynmanGraph) -> list[frozenset[EdgeId]]:
-    """Deduplicated sets (E \\ T) + {e} over spanning trees T and e in T."""
-    all_edges = frozenset(g.edge_ids())
-    cuts = set()
-    for tree in spanning_trees(g):
-        rest = all_edges - tree
-        for e in tree:
-            cuts.add(rest | {e})
-    return sorted(cuts, key=lambda c: (len(c), _sort_ids(c)))
-
-
-def components_after_removal(
-    g: FeynmanGraph, removed: frozenset[EdgeId]
-) -> list[frozenset[VertexId]]:
-    kept = tuple(e for e in g.internal_edges if e[0] not in removed)
-    return connected_components(
-        FeynmanGraph(g.vertices, kept, (), g.valences)
-    )
+    """Edge sets whose removal leaves a spanning forest of two trees: the
+    complements E \\ F of the spanning 2-forests F, which are the sets
+    (E \\ T) + {e} over spanning trees T and e in T.  All have
+    |E| - |V| + 2 edges, so they are ordered by edge ids alone."""
+    full = (1 << len(g.internal_edges)) - 1
+    return _sorted_edge_sets(g, [full & ~mask for mask, _ in _spanning_forests(g, 2)])
 
 
 # -- subgraphs and quotients --------------------------------------------------
@@ -327,7 +385,7 @@ def subgraph_components(g: FeynmanGraph, spec: SubgraphSpec) -> list[SubgraphSpe
     for comp in comps:
         edges = frozenset(e[0] for e in view.internal_edges if e[1] in comp)
         out.append(SubgraphSpec(edges, comp))
-    return sorted(out, key=lambda s: _sort_ids(s.vertices))
+    return sorted(out, key=lambda s: _id_order(s.vertices))
 
 
 def quotient(g: FeynmanGraph, spec: SubgraphSpec) -> FeynmanGraph:
@@ -433,7 +491,7 @@ def divergent_subgraphs(
     # ids of mixed types meet the same comparisons as in a subset scan
     found.sort(key=lambda members: (len(members), members))
     specs = [spec_of(members) for members in found]
-    return sorted(specs, key=lambda s: (len(s.edges), _sort_ids(s.edges)))
+    return sorted(specs, key=lambda s: (len(s.edges), _id_order(s.edges)))
 
 
 def _circuit_unions(n: int, ends: list[tuple[int, int]]) -> set[int]:

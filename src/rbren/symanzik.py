@@ -17,12 +17,10 @@ from ._linalg import rational_rank
 from .errors import MomentumError, PreconditionError
 from .graphs import (
     FeynmanGraph,
-    components_after_removal,
-    cut_sets,
+    _spanning_forests,
     cycle_basis_matrix,
     edge_connectivity,
     loop_number,
-    spanning_trees,
 )
 from .poly import MultiPoly
 
@@ -36,12 +34,16 @@ def psi(g: FeynmanGraph) -> MultiPoly:
     """First Symanzik polynomial, all coefficients 1, homogeneous of degree
     equal to the loop number."""
     variables = edge_variables(g)
-    ids = g.edge_ids()
-    terms = {}
-    for tree in spanning_trees(g):
-        exps = tuple(0 if eid in tree else 1 for eid in ids)
-        terms[exps] = Fraction(1)
+    terms = {
+        _outside(mask, len(variables)): Fraction(1)
+        for mask, _ in _spanning_forests(g, 1)
+    }
     return MultiPoly(variables, terms)
+
+
+def _outside(mask: int, n: int) -> tuple[int, ...]:
+    """Exponents of prod_{e not in F} t_e for the edge bitmask of F."""
+    return tuple(1 - (mask >> i & 1) for i in range(n))
 
 
 def graph_matrix(g: FeynmanGraph) -> list[list[MultiPoly]]:
@@ -115,35 +117,35 @@ def second_symanzik(g: FeynmanGraph) -> MultiPoly:
     """P(t) = sum_C s_C prod_{e in C} t_e over cut sets C, with s_C the
     Euclidean square of the momentum flowing through the cut.
 
-    Momentum conservation makes the two sides of each cut agree; both are
-    computed and compared.
+    The cut sets are the complements of the spanning 2-forests, and s_C
+    depends only on which leg vertices lie on each of the forest's two
+    trees, so it is computed once per such side pattern.  Momentum
+    conservation makes the two sides agree; both are computed and compared.
     """
     variables = edge_variables(g)
-    ids = g.edge_ids()
+    forests = _spanning_forests(g, 2)
     dim = g.momentum_dim()
+    if dim is None:
+        return MultiPoly(variables, {})
+    index = {v: i for i, v in enumerate(g.vertices)}
+    legs = [(index[v], p) for v, p in g.external_edges]
+    squares: dict[tuple[bool, ...], Fraction] = {}
     terms = {}
-    for cut in cut_sets(g):
-        comps = components_after_removal(g, cut)
-        if len(comps) != 2:
-            raise PreconditionError("cut set does not split into two components")
-        if dim is None:
-            continue
-        sides = []
-        for comp in comps:
-            total = [Fraction(0)] * dim
-            for v, p in g.external_edges:
-                if v in comp:
-                    for i, q in enumerate(p):
-                        total[i] += q
-            sides.append(tuple(total))
-        s_left = _dot(sides[0], sides[0])
-        s_right = _dot(sides[1], sides[1])
-        if s_left != s_right:
-            raise MomentumError("cut momentum square differs between the two sides")
-        if s_left == 0:
-            continue
-        exps = tuple(1 if eid in cut else 0 for eid in ids)
-        terms[exps] = terms.get(exps, Fraction(0)) + s_left
+    for mask, roots in forests:
+        # for each leg, whether it is on the side of the first vertex
+        side = tuple([roots[v] == roots[0] for v, _ in legs])
+        if side not in squares:
+            sums = [[Fraction(0)] * dim, [Fraction(0)] * dim]
+            for (_, p), first in zip(legs, side):
+                total = sums[0 if first else 1]
+                for i, q in enumerate(p):
+                    total[i] += q
+            s_first, s_second = (_dot(total, total) for total in sums)
+            if s_first != s_second:
+                raise MomentumError("cut momentum square differs between the two sides")
+            squares[side] = s_first
+        if squares[side]:
+            terms[_outside(mask, len(variables))] = squares[side]
     return MultiPoly(variables, terms)
 
 

@@ -6,11 +6,12 @@ keys, to the named generators here (e.g. both bubbles inside gamma2 carry
 two legs per vertex, matching the registered bubble).
 """
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
-from rbren import FeynmanGraph, GeneratorRegistry
+from rbren import FeynmanGraph, GeneratorRegistry, connected_components
 
 P1 = (F(1), F(0), F(0), F(0))
 P2 = (F(0), F(1), F(0), F(0))
@@ -126,6 +127,28 @@ def ladder_graph(n: int) -> FeynmanGraph:
     edges += [(f"x{i}", a[i], a[i + 1]) for i in range(n - 1)]
     edges += [(f"y{i}", b[i], b[i + 1]) for i in range(n - 1)]
     return FeynmanGraph(tuple(a + b), tuple(edges), ((a[0], P1), (b[-1], _neg(P1))))
+
+
+def connected_multigraphs(max_vertices, max_edges):
+    """Every connected multigraph on vertices 0..n-1 with n <= max_vertices
+    and 1..max_edges edges, self-loops and parallel edges included (one edge
+    list per multiset of vertex pairs)."""
+    for n_vertices in range(1, max_vertices + 1):
+        vertex_pairs = [
+            (a, b) for a in range(n_vertices) for b in range(a, n_vertices)
+        ]
+        for n_edges in range(1, max_edges + 1):
+            for combo in itertools.combinations_with_replacement(
+                vertex_pairs, n_edges
+            ):
+                if {v for e in combo for v in e} != set(range(n_vertices)):
+                    continue
+                g = FeynmanGraph(
+                    tuple(range(n_vertices)),
+                    tuple((f"e{i}", a, b) for i, (a, b) in enumerate(combo)),
+                )
+                if len(connected_components(g)) == 1:
+                    yield g
 
 
 @pytest.fixture

@@ -1,11 +1,12 @@
 """Independent brute-force oracles.
 
 Everything here recomputes expected values from first principles with code
-paths disjoint from the library: subset enumeration for connectivity and
-divergent subgraphs, Laplacian minors for tree counts, exhaustive
-finite-field point counting for class polynomials.  The one library call is
-``subgraph_view``, which builds the graph a custom degree function is
-specified on.
+paths disjoint from the library: subset enumeration for connectivity,
+divergent subgraphs, spanning trees, cut sets and the second Symanzik
+polynomial, Laplacian minors for tree counts, exhaustive finite-field point
+counting for class polynomials.  The library calls are ``subgraph_view``,
+which builds the graph a custom degree function is specified on, and the
+``MultiPoly`` constructor, which holds the polynomial oracles' terms.
 """
 
 from __future__ import annotations
@@ -100,8 +101,69 @@ def is_two_edge_connected(vertices, edges) -> bool:
     )
 
 
-def _sort_ids(ids):
-    return tuple(sorted(ids, key=lambda x: (isinstance(x, str), str(x))))
+def _id_order(ids):
+    """The library's order on id sets: ids sorted by type and then text,
+    compared as (is str, id) pairs."""
+    return tuple(
+        (isinstance(x, str), x)
+        for x in sorted(ids, key=lambda x: (isinstance(x, str), str(x)))
+    )
+
+
+def brute_spanning_trees(g) -> list[frozenset]:
+    """The C(|E|, |V|-1) scan: every choice of |V|-1 non-loop edges that
+    closes no cycle, sorted by edge ids."""
+    usable = [e for e in g.internal_edges if e[1] != e[2]]
+    trees = []
+    for combo in itertools.combinations(usable, len(g.vertices) - 1):
+        if len(components(g.vertices, [(t, h) for _, t, h in combo])) == 1:
+            trees.append(frozenset(e[0] for e in combo))
+    return sorted(trees, key=_id_order)
+
+
+def brute_psi(g):
+    """sum_T prod_{e not in T} t_e over ``brute_spanning_trees``."""
+    from rbren import MultiPoly
+
+    ids = [e[0] for e in g.internal_edges]
+    terms = {
+        tuple(int(eid not in tree) for eid in ids): 1 for tree in brute_spanning_trees(g)
+    }
+    return MultiPoly(tuple(f"t{i + 1}" for i in range(len(ids))), terms)
+
+
+def brute_cut_sets(g) -> list[frozenset]:
+    """The distinct sets (E \\ T) + {e} over spanning trees T and e in T, by
+    size and then by edge ids."""
+    all_edges = frozenset(e[0] for e in g.internal_edges)
+    cuts = set()
+    for tree in brute_spanning_trees(g):
+        for e in tree:
+            cuts.add(all_edges - tree | {e})
+    return sorted(cuts, key=lambda c: (len(c), _id_order(c)))
+
+
+def brute_second_symanzik(g):
+    """sum_C s_C prod_{e in C} t_e over ``brute_cut_sets``, each cut's two
+    sides found from the edges it keeps, s_C the square of the leg momentum
+    on the side of the first vertex."""
+    from rbren import MultiPoly
+
+    ids = [e[0] for e in g.internal_edges]
+    terms = {}
+    for cut in brute_cut_sets(g):
+        kept = [(t, h) for eid, t, h in g.internal_edges if eid not in cut]
+        sides = components(g.vertices, kept)
+        assert len(sides) == 2
+        first = next(side for side in sides if g.vertices[0] in side)
+        flow = None
+        for v, p in g.external_edges:
+            if v in first:
+                flow = list(p) if flow is None else [a + b for a, b in zip(flow, p)]
+        s = sum(q * q for q in flow) if flow else 0
+        if s:
+            terms[tuple(int(eid in cut) for eid in ids)] = s
+    return MultiPoly(tuple(f"t{i + 1}" for i in range(len(ids))), terms)
 
 
 def spec_is_divergent(g, spec, dim: int, degree_fn=None) -> bool:
@@ -167,7 +229,7 @@ def brute_divergent_subgraphs(g, dim: int, even_only: bool = False, degree_fn=No
             spec = SubgraphSpec.from_edges(g, combo)
             if spec_is_divergent(g, spec, dim, degree_fn):
                 found.append(spec)
-    return sorted(found, key=lambda s: (len(s.edges), _sort_ids(s.edges)))
+    return sorted(found, key=lambda s: (len(s.edges), _id_order(s.edges)))
 
 
 # -- finite-field oracles -----------------------------------------------------------

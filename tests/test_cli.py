@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +329,50 @@ def test_rb_t_on_saito_element(tmp_path):
     assert result.status == 0
     back = serde.load_saito(result.payload["t"])
     assert back.eta.is_zero() and back.xi == w.xi
+
+
+def test_mixed_int_and_str_ids(tmp_path, capsys):
+    # int and str edge and vertex ids in one graph: ids of different types
+    # are ordered by type, never compared with each other
+    g = {
+        "vertices": ["u", 2],
+        "internal_edges": [[1, "u", 2], [2, "u", 2], ["x", "u", 2]],
+        "external_edges": [
+            {"vertex": "u", "momentum": ["1", "0"]},
+            {"vertex": 2, "momentum": ["-1", "0"]},
+        ],
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(g))
+    expected = {
+        ("graph", "trees"): {"spanning_trees": [["1"], ["2"], ["x"]]},
+        ("graph", "cuts"): {"cut_sets": [["1", "2", "x"]]},
+        ("graph", "divergent"): {"divergent_subgraphs": [["1", "2"], ["1", "x"], ["2", "x"]]},
+        ("symanzik", "psi"): {"psi": "t1*t2+t1*t3+t2*t3"},
+        ("symanzik", "second"): {"second": "t1*t2*t3"},
+    }
+    for (group, command), payload in expected.items():
+        assert main([group, command, str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == payload
+
+
+def test_successive_calls_match_fresh_processes(sunset_file, capsys):
+    """The parser is built once per process; a usage error, a valid command
+    and a command of another group, run in turn, print what fresh processes
+    print."""
+    calls = [
+        ["symanzik", "psi"],
+        ["symanzik", "psi", sunset_file],
+        ["graph", "cuts", sunset_file],
+        ["frobnicate"],
+        ["motive", "gl", "2"],
+        ["symanzik", "second", sunset_file],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(serde.__file__).parents[1]))
+    for argv in calls:
+        status = main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rbren.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert (status, out) == (fresh.returncode, fresh.stdout)

@@ -3,11 +3,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import P1, P2, single_edge_graph, tadpole_graph
+import oracles
+from conftest import (
+    P1,
+    P2,
+    connected_multigraphs,
+    ladder_graph,
+    single_edge_graph,
+    tadpole_graph,
+    wheel_graph,
+)
 from rbren import (
+    DisconnectedError,
     FeynmanGraph,
     MomentumError,
     PreconditionError,
+    cut_sets,
     edge_variables,
     eta_form,
     graph_matrix,
@@ -16,6 +27,7 @@ from rbren import (
     poly_det,
     psi,
     second_symanzik,
+    spanning_trees,
     upsilon_embedding_tests,
     upsilon_matrix,
 )
@@ -116,6 +128,57 @@ def test_second_symanzik_is_homogeneous(triangle, gamma2):
     for g in (triangle, gamma2):
         p = second_symanzik(g)
         assert p.is_homogeneous(loop_number(g) + 1)
+
+
+def assert_forest_sums_match_brute_force(g, legged):
+    """Trees and cut sets as equal lists, order included, and both Symanzik
+    polynomials, the second one on the ``legged`` copies of g, against the
+    subset scans of ``oracles``."""
+    assert spanning_trees(g) == oracles.brute_spanning_trees(g)
+    assert cut_sets(g) == oracles.brute_cut_sets(g)
+    assert psi(g) == oracles.brute_psi(g)
+    for h in legged:
+        assert second_symanzik(h) == oracles.brute_second_symanzik(h)
+
+
+def leg_patterns(g):
+    """g with legs p/-p on two vertex pairs, and with three legs p, q, -p-q
+    whose cut squares 1, 4 and 9 tell the sides apart."""
+    first, middle, last = g.vertices[0], g.vertices[len(g.vertices) // 2], g.vertices[-1]
+    p, q, minus_p, minus_pq = (F(1),), (F(2),), (F(-1),), (F(-3),)
+    legsets = [
+        ((first, p), (last, minus_p)),
+        ((middle, p), (first, minus_p)),
+        ((first, p), (g.vertices[1 % len(g.vertices)], q), (last, minus_pq)),
+    ]
+    return [FeynmanGraph(g.vertices, g.internal_edges, legs) for legs in legsets]
+
+
+def test_forest_sums_match_brute_force_exhaustively():
+    """Every connected multigraph with <= 5 vertices and <= 6 edges, the
+    second polynomial with legs p/-p on the first and last vertex and with
+    three legs."""
+    checked = 0
+    for g in connected_multigraphs(5, 6):
+        checked += 1
+        assert_forest_sums_match_brute_force(g, leg_patterns(g)[::2])
+    assert checked == 12702
+
+
+def test_forest_sums_of_ladders_and_wheels_match_brute_force():
+    for g in [ladder_graph(n) for n in (3, 4, 5, 6)] + [wheel_graph(n) for n in range(3, 8)]:
+        assert_forest_sums_match_brute_force(g, [g] + leg_patterns(g))
+
+
+def test_forest_sums_need_a_connected_graph():
+    legs = (("a", P1), ("d", tuple(-q for q in P1)))
+    for external in ((), legs):
+        g = FeynmanGraph(
+            ("a", "b", "c", "d"), (("e1", "a", "b"), ("e2", "c", "d"), ("e3", "c", "c")), external
+        )
+        for fn in (spanning_trees, cut_sets, psi, second_symanzik):
+            with pytest.raises(DisconnectedError):
+                fn(g)
 
 
 def test_momentum_conservation_checked_at_construction():

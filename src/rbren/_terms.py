@@ -1,0 +1,115 @@
+"""Finite linear combinations: the one copy of their arithmetic.
+
+Every exact value in rbren is a sum of basis keys with nonzero coefficients:
+polynomials over exponent vectors, exterior forms over generator subsets,
+Hopf elements over monomials, tensors over words, classes over powers of L.
+``Terms`` holds such a sum and its context and implements the linear
+operations once; each element type adds its validation, named constructors,
+queries and rendering.
+"""
+
+from __future__ import annotations
+
+from .errors import ContextError
+
+# bypasses the frozen dataclass guard, as the dataclass's own __init__ does
+_set = object.__setattr__
+
+
+class Terms:
+    """Base of the element types that are finite linear combinations.
+
+    An element holds ``terms``, a dict from basis keys to nonzero
+    coefficients in sorted key order, so equal elements are stored
+    identically, plus the context fields named in ``_context``.  Elements
+    combine only when their contexts agree.  A subclass (a frozen dataclass)
+    supplies only data:
+
+      _context  names of the context fields, in constructor order
+      _scalars  coefficient types an element can be scaled by
+      _join     key of the product of two basis keys
+    """
+
+    _context: tuple[str, ...] = ()
+    _scalars: tuple[type, ...] = ()
+
+    @classmethod
+    def _make(cls, terms: dict, *context):
+        """Fast constructor: keys taken as valid, zero coefficients dropped."""
+        x = object.__new__(cls)
+        for name, value in zip(cls._context, context):
+            _set(x, name, value)
+        _set(x, "terms", dict(sorted((k, c) for k, c in terms.items() if c)))
+        return x
+
+    def _like(self, terms: dict):
+        """Fast constructor with the context of ``self``."""
+        return self._make(terms, *[getattr(self, name) for name in self._context])
+
+    def _check(self, other):
+        for name in self._context:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine != theirs:
+                raise ContextError(
+                    f"{type(self).__name__}.{name} differs: {mine!r} vs {theirs!r}"
+                )
+
+    def zero_like(self):
+        return self._like({})
+
+    # -- linear structure ------------------------------------------------------
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        """Scalar product, or the product of basis keys extended bilinearly."""
+        if isinstance(other, self._scalars):
+            return self._like({k: c * other for k, c in self.terms.items()})
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        self._check(other)
+        join = self._join
+        out = {}
+        get = out.get
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = join(k1, k2)
+                prev = get(k)
+                out[k] = c1 * c2 if prev is None else prev + c1 * c2
+        return self._like(out)
+
+    # a product of two elements always reaches __mul__, so only scalars get here
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # -- structural helpers -----------------------------------------------------
+
+    def map_coeffs(self, fn):
+        """Apply ``fn`` to every coefficient; zero results are dropped."""
+        return self._like({k: fn(c) for k, c in self.terms.items()})
+
+    def select(self, keep):
+        """Projection onto the terms whose key satisfies ``keep``."""
+        return self._like({k: c for k, c in self.terms.items() if keep(k)})

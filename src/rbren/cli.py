@@ -59,14 +59,13 @@ from .motives import (
 )
 from .rota_baxter import SWEEP_DESCRIPTORS, iterated_residue, rb_defect
 from .symanzik import (
+    _matrix_det,
     eta_form,
     graph_matrix,
-    graph_matrix_det,
     matrix_tree_check,
     psi,
     second_symanzik,
     upsilon_embedding_tests,
-    upsilon_matrix,
 )
 
 
@@ -216,14 +215,12 @@ def _cmd_symanzik(args) -> Any:
         m = graph_matrix(g)
         return {
             "matrix": [[str(entry) for entry in row] for row in m],
-            "det": str(graph_matrix_det(g)),
+            "det": str(_matrix_det(g, m)),
         }
     if args.symanzik_cmd == "check":
         return {"matrix_tree": matrix_tree_check(g)}
     if args.symanzik_cmd == "upsilon":
-        report = upsilon_embedding_tests(g)
-        report["matrix"] = upsilon_matrix(g)
-        return report
+        return upsilon_embedding_tests(g)
     if args.symanzik_cmd == "eta":
         spec = eta_form(g, args.dim)
         return {

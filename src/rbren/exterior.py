@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Iterable, Mapping
 
+from ._terms import Terms
 from .errors import ContextError
 from .poly import LaurentPoly, MultiPoly
 
@@ -31,19 +32,13 @@ def merge_sign(a: Subset, b: Subset) -> tuple[Subset, int]:
     return tuple(sorted(a + b)), (-1 if inversions % 2 else 1)
 
 
-def _mk_ext(gens, terms: dict) -> "ExteriorElement":
-    x = object.__new__(ExteriorElement)
-    object.__setattr__(x, "gens", gens)
-    object.__setattr__(
-        x, "terms", dict(sorted((s, c) for s, c in terms.items() if not c.is_zero()))
-    )
-    return x
-
-
 @dataclass(frozen=True)
-class ExteriorElement:
+class ExteriorElement(Terms):
     gens: tuple[str, ...]
     terms: Mapping[Subset, LaurentPoly]
+
+    _context = ("gens",)
+    _scalars = (Rational, LaurentPoly, MultiPoly)
 
     def __post_init__(self):
         gens = tuple(self.gens)
@@ -72,18 +67,18 @@ class ExteriorElement:
 
     @staticmethod
     def zero(gens: Iterable[str]) -> "ExteriorElement":
-        return _mk_ext(tuple(gens), {})
+        return ExteriorElement._make({}, tuple(gens))
 
     @staticmethod
     def scalar(gens: Iterable[str], coeff: LaurentPoly) -> "ExteriorElement":
-        return _mk_ext(tuple(gens), {(): coeff})
+        return ExteriorElement._make({(): coeff}, tuple(gens))
 
     @staticmethod
     def generator(gens: Iterable[str], name: str, coeff: LaurentPoly) -> "ExteriorElement":
         gens = tuple(gens)
         if name not in gens:
             raise ContextError(f"unknown generator {name!r}")
-        return _mk_ext(gens, {(gens.index(name),): coeff})
+        return ExteriorElement._make({(gens.index(name),): coeff}, gens)
 
     @staticmethod
     def term(gens: Iterable[str], names: Iterable[str], coeff: LaurentPoly):
@@ -95,36 +90,12 @@ class ExteriorElement:
             idx.append(gens.index(name))
         return ExteriorElement(gens, {tuple(sorted(idx)): coeff})
 
-    def zero_like(self) -> "ExteriorElement":
-        return _mk_ext(self.gens, {})
-
     # -- graded algebra -----------------------------------------------------
-
-    def _check(self, other: "ExteriorElement"):
-        if self.gens != other.gens:
-            raise ContextError("generator contexts differ")
-
-    def __add__(self, other):
-        if not isinstance(other, ExteriorElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, c.zero_like()) + c
-        return _mk_ext(self.gens, out)
-
-    def __neg__(self):
-        return _mk_ext(self.gens, {s: -c for s, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         """Wedge product (also accepts coefficient-ring scalars)."""
-        if isinstance(other, (Rational, LaurentPoly, MultiPoly)):
-            return _mk_ext(self.gens, {s: c * other for s, c in self.terms.items()})
         if not isinstance(other, ExteriorElement):
-            return NotImplemented
+            return Terms.__mul__(self, other)
         self._check(other)
         out: dict[Subset, LaurentPoly] = {}
         for s1, c1 in self.terms.items():
@@ -137,18 +108,7 @@ class ExteriorElement:
                     out[merged] = out[merged] + contrib
                 else:
                     out[merged] = contrib
-        return _mk_ext(self.gens, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Rational, LaurentPoly, MultiPoly)):
-            return self * other
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._like(out)
 
     # -- degree structure ---------------------------------------------------
 
@@ -167,18 +127,6 @@ class ExteriorElement:
         return d.pop() if len(d) == 1 else None
 
     # -- structural helpers -------------------------------------------------
-
-    def select(self, keep) -> "ExteriorElement":
-        """Projection onto the terms whose subset satisfies ``keep``."""
-        return _mk_ext(self.gens, {s: c for s, c in self.terms.items() if keep(s)})
-
-    def map_coeffs(self, fn) -> "ExteriorElement":
-        out = {}
-        for s, c in self.terms.items():
-            c2 = fn(c)
-            if not c2.is_zero():
-                out[s] = c2
-        return _mk_ext(self.gens, out)
 
     def coefficient(self, names: Iterable[str]) -> LaurentPoly | None:
         idx = tuple(sorted(self.gens.index(n) for n in names))

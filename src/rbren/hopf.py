@@ -18,6 +18,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Mapping
 
+from ._terms import Terms
 from .errors import PreconditionError, UnknownGeneratorError
 from .graphs import (
     FeynmanGraph,
@@ -33,15 +34,20 @@ from .graphs import (
 Monomial = tuple[str, ...]
 
 
-def _mk_hopf(terms: dict) -> "HopfElement":
-    x = object.__new__(HopfElement)
-    object.__setattr__(x, "terms", dict(sorted((m, c) for m, c in terms.items() if c)))
-    return x
+def _merge(m1: Monomial, m2: Monomial) -> Monomial:
+    return tuple(sorted(m1 + m2))
+
+
+def _merge_words(w1: tuple[Monomial, ...], w2: tuple[Monomial, ...]):
+    return tuple([tuple(sorted(a + b)) for a, b in zip(w1, w2)])
 
 
 @dataclass(frozen=True)
-class HopfElement:
+class HopfElement(Terms):
     terms: Mapping[Monomial, Fraction]
+
+    _scalars = (Rational,)
+    _join = staticmethod(_merge)
 
     def __post_init__(self):
         fixed = {}
@@ -56,11 +62,11 @@ class HopfElement:
 
     @staticmethod
     def zero() -> "HopfElement":
-        return _mk_hopf({})
+        return HopfElement._make({})
 
     @staticmethod
     def unit(coeff=1) -> "HopfElement":
-        return _mk_hopf({(): Fraction(coeff)} if Fraction(coeff) else {})
+        return HopfElement._make({(): Fraction(coeff)})
 
     @staticmethod
     def gen(name: str, coeff=1) -> "HopfElement":
@@ -73,40 +79,9 @@ class HopfElement:
     def __add__(self, other):
         if isinstance(other, Rational):
             other = HopfElement.unit(other)
-        if not isinstance(other, HopfElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return _mk_hopf(out)
+        return Terms.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return _mk_hopf({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, Rational):
-            return self + (-Fraction(other))
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            q = Fraction(other)
-            return _mk_hopf({m: c * q for m, c in self.terms.items()})
-        if not isinstance(other, HopfElement):
-            return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return _mk_hopf(out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def generators(self) -> set[str]:
         return {name for mono in self.terms for name in mono}
@@ -126,19 +101,16 @@ def counit(x: HopfElement) -> Fraction:
     return x.terms.get((), Fraction(0))
 
 
-def _mk_tensor(legs: int, terms: dict) -> "TensorElement":
-    x = object.__new__(TensorElement)
-    object.__setattr__(x, "legs", legs)
-    object.__setattr__(x, "terms", dict(sorted((w, c) for w, c in terms.items() if c)))
-    return x
-
-
 @dataclass(frozen=True)
-class TensorElement:
+class TensorElement(Terms):
     """Element of the ``legs``-fold tensor power of the Hopf algebra."""
 
     legs: int
     terms: Mapping[tuple[Monomial, ...], Fraction]
+
+    _context = ("legs",)
+    _scalars = (Rational,)
+    _join = staticmethod(_merge_words)
 
     def __post_init__(self):
         fixed = {}
@@ -155,48 +127,12 @@ class TensorElement:
 
     @staticmethod
     def zero(legs: int = 2) -> "TensorElement":
-        return _mk_tensor(legs, {})
+        return TensorElement._make({}, legs)
 
     @staticmethod
     def word(monomials, coeff=1) -> "TensorElement":
         word = tuple(tuple(sorted(m)) for m in monomials)
         return TensorElement(len(word), {word: Fraction(coeff)})
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if self.legs != other.legs:
-            raise PreconditionError("tensor leg counts differ")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return _mk_tensor(self.legs, out)
-
-    def __neg__(self):
-        return _mk_tensor(self.legs, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            q = Fraction(other)
-            return _mk_tensor(self.legs, {w: c * q for w, c in self.terms.items()})
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if self.legs != other.legs:
-            raise PreconditionError("tensor leg counts differ")
-        out: dict[tuple[Monomial, ...], Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = tuple(tuple(sorted(a + b)) for a, b in zip(w1, w2))
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
-        return _mk_tensor(self.legs, out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __str__(self):
         if not self.terms:
@@ -332,7 +268,7 @@ class GeneratorRegistry:
             right = (self.resolve(quotient(g, spec)),)
             key = (left, right)
             terms[key] = terms.get(key, Fraction(0)) + 1
-        result = _mk_tensor(2, terms)
+        result = TensorElement._make(terms, 2)
         self._coproduct_cache[name] = result
         return result
 
@@ -379,7 +315,7 @@ def reduced_coproduct_iterated(
             for (a, b), c in expanded.terms.items():
                 key = word[:-1] + (a, b)
                 out[key] = out.get(key, Fraction(0)) + coeff * c
-        current = _mk_tensor(current.legs + 1, out)
+        current = TensorElement._make(out, current.legs + 1)
     return current
 
 

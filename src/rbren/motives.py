@@ -13,86 +13,57 @@ compactifications whose centers are supplied as (base, fiber, codim) strata.
 
 from __future__ import annotations
 
-import re
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from ._linalg import echelon_insert
+from ._terms import Terms
 from .errors import PreconditionError, SizeBoundError
+from .poly import parse_terms
 
 ARRANGEMENT_BOUND = 20
 
 
-def _mk_lef(coeffs: dict) -> "LefschetzPolynomial":
-    x = object.__new__(LefschetzPolynomial)
-    object.__setattr__(
-        x, "coeffs", dict(sorted((e, c) for e, c in coeffs.items() if c))
-    )
-    return x
-
-
 @dataclass(frozen=True)
-class LefschetzPolynomial:
+class LefschetzPolynomial(Terms):
     """Sparse integer polynomial in one symbol (printed as L by default)."""
 
-    coeffs: Mapping[int, int]
+    terms: Mapping[int, int]
+
+    _scalars = (int,)
+    _join = staticmethod(operator.add)
 
     def __post_init__(self):
         fixed = {}
-        for e, c in self.coeffs.items():
+        for e, c in self.terms.items():
             e = int(e)
             c = int(c)
             if e < 0:
                 raise PreconditionError("negative exponent in a class polynomial")
             if c:
                 fixed[e] = c
-        object.__setattr__(self, "coeffs", dict(sorted(fixed.items())))
+        object.__setattr__(self, "terms", dict(sorted(fixed.items())))
 
     @staticmethod
     def zero() -> "LefschetzPolynomial":
-        return _mk_lef({})
+        return LefschetzPolynomial._make({})
 
     @staticmethod
     def const(c: int) -> "LefschetzPolynomial":
-        return _mk_lef({0: int(c)})
+        return LefschetzPolynomial._make({0: int(c)})
 
     @staticmethod
     def lefschetz(power: int = 1) -> "LefschetzPolynomial":
-        return _mk_lef({power: 1})
+        return LefschetzPolynomial._make({power: 1})
 
     def __add__(self, other):
         if isinstance(other, int):
             other = LefschetzPolynomial.const(other)
-        if not isinstance(other, LefschetzPolynomial):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return _mk_lef(out)
+        return Terms.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return _mk_lef({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return self + (-other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _mk_lef({e: c * other for e, c in self.coeffs.items()})
-        if not isinstance(other, LefschetzPolynomial):
-            return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return _mk_lef(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         out = LefschetzPolynomial.const(1)
@@ -100,14 +71,11 @@ class LefschetzPolynomial:
             out = out * self
         return out
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
-        return max(self.coeffs, default=-1)
+        return max(self.terms, default=-1)
 
     def __call__(self, value: int) -> int:
-        return sum(c * value**e for e, c in self.coeffs.items())
+        return sum(c * value**e for e, c in self.terms.items())
 
     def divide_by_lef_minus_one(self) -> "LefschetzPolynomial":
         """Exact division by (L - 1); the remainder must vanish."""
@@ -117,16 +85,16 @@ class LefschetzPolynomial:
         quotient: dict[int, int] = {}
         carry = 0
         for e in range(degree, 0, -1):
-            carry += self.coeffs.get(e, 0)
+            carry += self.terms.get(e, 0)
             quotient[e - 1] = carry
-        return _mk_lef(quotient)
+        return LefschetzPolynomial._make(quotient)
 
     def render(self, symbol: str = "L") -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
+        for e in sorted(self.terms, reverse=True):
+            c = self.terms[e]
             if e == 0:
                 body = str(abs(c))
             else:
@@ -146,28 +114,11 @@ class LefschetzPolynomial:
 
 
 def parse_class(text: str, symbol: str = "L") -> LefschetzPolynomial:
-    text = text.replace(" ", "")
-    if text in ("", "0"):
-        return LefschetzPolynomial.zero()
-    coeffs: dict[int, int] = {}
-    for chunk in re.split(r"(?<!\^)(?=[+-])", text):
-        if not chunk:
-            continue
-        sign = 1
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign = -1
-            chunk = chunk[1:]
-        if symbol in chunk:
-            coeff_part, _, power_part = chunk.partition(symbol)
-            coeff = int(coeff_part.rstrip("*")) if coeff_part.rstrip("*") else 1
-            e = int(power_part[1:]) if power_part.startswith("^") else 1
-        else:
-            coeff = int(chunk)
-            e = 0
-        coeffs[e] = coeffs.get(e, 0) + sign * coeff
-    return LefschetzPolynomial(coeffs)
+    """Parse a class in the polynomial term grammar of ``poly.parse_terms``."""
+    terms = parse_terms(text, (symbol,))
+    if any(c.denominator != 1 for c in terms.values()):
+        raise PreconditionError(f"non-integer coefficient in the class {text!r}")
+    return LefschetzPolynomial({e: int(c) for (e,), c in terms.items()})
 
 
 # -- stock classes ------------------------------------------------------------

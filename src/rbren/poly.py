@@ -24,6 +24,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping
 
+from ._terms import Terms
 from .errors import ContextError, PoleAtPointError
 
 Exponents = tuple[int, ...]
@@ -33,18 +34,14 @@ def _add_exps(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _mk_poly(variables: tuple[str, ...], terms: dict) -> "MultiPoly":
-    """Internal fast constructor: assumes exponents are valid, skips checks."""
-    p = object.__new__(MultiPoly)
-    object.__setattr__(p, "variables", variables)
-    object.__setattr__(p, "terms", dict(sorted((e, c) for e, c in terms.items() if c)))
-    return p
-
-
 @dataclass(frozen=True)
-class MultiPoly:
+class MultiPoly(Terms):
     variables: tuple[str, ...]
     terms: Mapping[Exponents, Fraction]
+
+    _context = ("variables",)
+    _scalars = (Rational,)
+    _join = staticmethod(_add_exps)
 
     def __post_init__(self):
         variables = tuple(self.variables)
@@ -69,13 +66,12 @@ class MultiPoly:
 
     @staticmethod
     def zero(variables: Iterable[str]) -> "MultiPoly":
-        return _mk_poly(tuple(variables), {})
+        return MultiPoly._make({}, tuple(variables))
 
     @staticmethod
     def const(variables: Iterable[str], value) -> "MultiPoly":
         variables = tuple(variables)
-        c = Fraction(value)
-        return _mk_poly(variables, {(0,) * len(variables): c} if c else {})
+        return MultiPoly._make({(0,) * len(variables): Fraction(value)}, variables)
 
     @staticmethod
     def variable(variables: Iterable[str], name: str, power: int = 1) -> "MultiPoly":
@@ -85,60 +81,22 @@ class MultiPoly:
         if power < 0:
             raise ContextError("MultiPoly does not allow negative powers")
         exps = tuple(power if v == name else 0 for v in variables)
-        return _mk_poly(variables, {exps: Fraction(1)})
+        return MultiPoly._make({exps: Fraction(1)}, variables)
 
     @staticmethod
     def monomial(variables: Iterable[str], exps: Iterable[int], coeff=1) -> "MultiPoly":
         return MultiPoly(tuple(variables), {tuple(exps): Fraction(coeff)})
 
-    def one_like(self) -> "MultiPoly":
-        return MultiPoly.const(self.variables, 1)
-
     # -- ring operations ----------------------------------------------------
-
-    def _check(self, other: "MultiPoly"):
-        if self.variables != other.variables:
-            raise ContextError(
-                f"variable contexts differ: {self.variables} vs {other.variables}"
-            )
 
     def __add__(self, other):
         if isinstance(other, Rational):
             other = MultiPoly.const(self.variables, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return _mk_poly(self.variables, out)
+        return Terms.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return _mk_poly(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiPoly) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            q = Fraction(other)
-            return _mk_poly(self.variables, {e: c * q for e, c in self.terms.items()})
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _add_exps(e1, e2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return _mk_poly(self.variables, out)
-
-    __rmul__ = __mul__
+    # perfbench/tracing.py wraps the operators in the class's own __dict__
+    __mul__ = Terms.__mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -151,12 +109,6 @@ class MultiPoly:
             base = base * base
             n >>= 1
         return result
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- queries ------------------------------------------------------------
 
@@ -202,9 +154,7 @@ class MultiPoly:
         if name not in self.variables:
             raise ContextError(f"{name!r} is not among variables {self.variables}")
         i = self.variables.index(name)
-        return _mk_poly(
-            self.variables, {e: c for e, c in self.terms.items() if e[i] == 0}
-        )
+        return self.select(lambda e: e[i] == 0)
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -292,23 +242,17 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _mk_laurent(dist, variables, terms: dict) -> "LaurentPoly":
-    p = object.__new__(LaurentPoly)
-    object.__setattr__(p, "dist", dist)
-    object.__setattr__(p, "variables", variables)
-    object.__setattr__(
-        p, "terms", dict(sorted((e, c) for e, c in terms.items() if not c.is_zero()))
-    )
-    return p
-
-
 @dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Terms):
     """Laurent polynomial in ``dist`` with MultiPoly coefficients."""
 
     dist: tuple[str, ...]
     variables: tuple[str, ...]
     terms: Mapping[Exponents, MultiPoly]
+
+    _context = ("dist", "variables")
+    _scalars = (Rational, MultiPoly)
+    _join = staticmethod(_add_exps)
 
     def __post_init__(self):
         dist = tuple(self.dist)
@@ -336,20 +280,20 @@ class LaurentPoly:
 
     @staticmethod
     def zero(dist: Iterable[str], variables: Iterable[str]) -> "LaurentPoly":
-        return _mk_laurent(tuple(dist), tuple(variables), {})
+        return LaurentPoly._make({}, tuple(dist), tuple(variables))
 
     @staticmethod
     def const(dist: Iterable[str], variables: Iterable[str], value) -> "LaurentPoly":
         dist = tuple(dist)
         variables = tuple(variables)
-        return _mk_laurent(
-            dist, variables, {(0,) * len(dist): MultiPoly.const(variables, value)}
+        return LaurentPoly._make(
+            {(0,) * len(dist): MultiPoly.const(variables, value)}, dist, variables
         )
 
     @staticmethod
     def from_poly(p: MultiPoly, dist: Iterable[str] = ()) -> "LaurentPoly":
         dist = tuple(dist)
-        return _mk_laurent(dist, p.variables, {(0,) * len(dist): p})
+        return LaurentPoly._make({(0,) * len(dist): p}, dist, p.variables)
 
     @staticmethod
     def variable(dist: Iterable[str], variables: Iterable[str], name: str, power: int = 1):
@@ -358,7 +302,7 @@ class LaurentPoly:
         one = MultiPoly.const(variables, 1)
         if name in dist:
             exps = tuple(power if v == name else 0 for v in dist)
-            return _mk_laurent(dist, variables, {exps: one})
+            return LaurentPoly._make({exps: one}, dist, variables)
         return LaurentPoly.from_poly(
             MultiPoly.variable(variables, name, power), dist
         )
@@ -367,71 +311,16 @@ class LaurentPoly:
     def monomial(dist, variables, dist_exps: Iterable[int], coeff: MultiPoly):
         return LaurentPoly(tuple(dist), tuple(variables), {tuple(dist_exps): coeff})
 
-    def one_like(self) -> "LaurentPoly":
-        return LaurentPoly.const(self.dist, self.variables, 1)
-
-    def zero_like(self) -> "LaurentPoly":
-        return LaurentPoly.zero(self.dist, self.variables)
-
     # -- ring operations ----------------------------------------------------
-
-    def _check(self, other: "LaurentPoly"):
-        if self.dist != other.dist or self.variables != other.variables:
-            raise ContextError("Laurent contexts differ")
 
     def __add__(self, other):
         if isinstance(other, Rational):
             other = LaurentPoly.const(self.dist, self.variables, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        zero = MultiPoly.zero(self.variables)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, zero) + c
-        return _mk_laurent(self.dist, self.variables, out)
+        return Terms.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return _mk_laurent(
-            self.dist, self.variables, {e: -c for e, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, Rational):
-            return self + (-Fraction(other))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            q = Fraction(other)
-            return _mk_laurent(
-                self.dist, self.variables, {e: c * q for e, c in self.terms.items()}
-            )
-        if isinstance(other, MultiPoly):
-            other = LaurentPoly.from_poly(other, self.dist)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        out: dict[Exponents, MultiPoly] = {}
-        zero = MultiPoly.zero(self.variables)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _add_exps(e1, e2)
-                out[e] = out.get(e, zero) + c1 * c2
-        return _mk_laurent(self.dist, self.variables, out)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    # perfbench/tracing.py wraps the operators in the class's own __dict__
+    __mul__ = Terms.__mul__
 
     # -- polar split --------------------------------------------------------
 
@@ -441,23 +330,15 @@ class LaurentPoly:
         With a single distinguished variable the argument may be omitted.
         """
         i = self._dist_index(name)
-        return _mk_laurent(
-            self.dist, self.variables, {e: c for e, c in self.terms.items() if e[i] < 0}
-        )
+        return self.select(lambda e: e[i] < 0)
 
     def regular_part(self, name: str | None = None) -> "LaurentPoly":
         i = self._dist_index(name)
-        return _mk_laurent(
-            self.dist, self.variables, {e: c for e, c in self.terms.items() if e[i] >= 0}
-        )
+        return self.select(lambda e: e[i] >= 0)
 
     def polar_any(self) -> "LaurentPoly":
         """Terms negative in at least one distinguished variable."""
-        return _mk_laurent(
-            self.dist,
-            self.variables,
-            {e: c for e, c in self.terms.items() if any(x < 0 for x in e)},
-        )
+        return self.select(lambda e: any(x < 0 for x in e))
 
     def _dist_index(self, name: str | None) -> int:
         if name is None:
@@ -467,14 +348,6 @@ class LaurentPoly:
         if name not in self.dist:
             raise ContextError(f"{name!r} is not distinguished in {self.dist}")
         return self.dist.index(name)
-
-    def map_coeffs(self, fn) -> "LaurentPoly":
-        out = {}
-        for e, c in self.terms.items():
-            c2 = fn(c)
-            if not c2.is_zero():
-                out[e] = c2
-        return _mk_laurent(self.dist, self.variables, out)
 
     def evaluate(self, point: Mapping[str, object]) -> Fraction:
         missing = [v for v in self.dist + self.variables if v not in point]

@@ -424,9 +424,6 @@ class RBAlgebraDescriptor:
     def random_element(self, rng: random.Random, even: bool = True):
         return self._algebra.random_element(rng, even)
 
-    def _random_laurent_coeff(self, rng) -> LaurentPoly:
-        return self._algebra.random_coeff(rng)
-
 
 def min_exps(p: MultiPoly):
     """Componentwise minimum exponent vector, or None for the zero poly."""

@@ -48,8 +48,12 @@ def _outside(mask: int, n: int) -> tuple[int, ...]:
 
 def graph_matrix(g: FeynmanGraph) -> list[list[MultiPoly]]:
     """M_kr(t) = sum_i t_i eta_ik eta_ir over the fundamental cycle basis."""
+    return _cycle_matrix(g, cycle_basis_matrix(g))
+
+
+def _cycle_matrix(g: FeynmanGraph, eta: list[list[int]]) -> list[list[MultiPoly]]:
+    """The graph matrix from the cycle basis ``eta`` of ``g``."""
     variables = edge_variables(g)
-    eta = cycle_basis_matrix(g)
     loops = len(eta[0]) if eta else loop_number(g)
     n = len(g.internal_edges)
     matrix = []
@@ -96,10 +100,12 @@ def poly_det(matrix: list[list[MultiPoly]]) -> MultiPoly:
 
 
 def graph_matrix_det(g: FeynmanGraph) -> MultiPoly:
-    m = graph_matrix(g)
-    if not m:
-        return MultiPoly.const(edge_variables(g), 1)
-    return poly_det(m)
+    return _matrix_det(g, graph_matrix(g))
+
+
+def _matrix_det(g: FeynmanGraph, matrix: list[list[MultiPoly]]) -> MultiPoly:
+    """det of the graph matrix of ``g``; 1 for the empty matrix of a tree."""
+    return poly_det(matrix) if matrix else MultiPoly.const(edge_variables(g), 1)
 
 
 def matrix_tree_check(g: FeynmanGraph) -> bool:
@@ -154,12 +160,12 @@ def second_symanzik(g: FeynmanGraph) -> MultiPoly:
 
 def upsilon_matrix(g: FeynmanGraph) -> list[list[int]]:
     """n x l^2 integer matrix; row i is the flattened block eta_i eta_i^T."""
-    eta = cycle_basis_matrix(g)
+    return _flat_blocks(cycle_basis_matrix(g))
+
+
+def _flat_blocks(eta: list[list[int]]) -> list[list[int]]:
     loops = len(eta[0]) if eta else 0
-    out = []
-    for row in eta:
-        out.append([row[k] * row[r] for k in range(loops) for r in range(loops)])
-    return out
+    return [[row[k] * row[r] for k in range(loops) for r in range(loops)] for row in eta]
 
 
 def upsilon_embedding_tests(g: FeynmanGraph) -> dict:
@@ -168,13 +174,14 @@ def upsilon_embedding_tests(g: FeynmanGraph) -> dict:
     Global injectivity is full row rank of the flattened map.  The per-loop
     maps project onto one matrix row; each is tested for injectivity on the
     span of its own loop's edge variables, and the report says whether the
-    loops passing that test cover every edge.
+    loops passing that test cover every edge.  It ends with the flattened
+    map itself, the ``upsilon_matrix`` of ``g``.
     """
     eta = cycle_basis_matrix(g)
     n = len(g.internal_edges)
     loops = len(eta[0]) if eta else 0
     conn = edge_connectivity(g)
-    ups = upsilon_matrix(g)
+    ups = _flat_blocks(eta)
     rank = rational_rank(ups) if ups else 0
     ids = g.edge_ids()
     loop_reports = []
@@ -202,6 +209,7 @@ def upsilon_embedding_tests(g: FeynmanGraph) -> dict:
         "loop_maps": loop_reports,
         "injective_loops_cover_all_edges": loops > 0 and len(covered) == n,
         "degenerate": loops == 0,
+        "matrix": ups,
     }
 
 
@@ -230,11 +238,11 @@ def symanzik_data(g: FeynmanGraph) -> SymanzikData:
     second = second_symanzik(g)
     if not second.is_homogeneous(loops + 1):
         raise PreconditionError("cut polynomial is not homogeneous of degree l+1")
-    matrix = graph_matrix(g)
-    det = poly_det(matrix) if matrix else MultiPoly.const(edge_variables(g), 1)
-    if det != tree_poly:
+    eta = cycle_basis_matrix(g)
+    matrix = _cycle_matrix(g, eta)
+    if _matrix_det(g, matrix) != tree_poly:
         raise PreconditionError("cycle-matrix determinant disagrees with trees")
-    return SymanzikData(tree_poly, matrix, second, cycle_basis_matrix(g))
+    return SymanzikData(tree_poly, matrix, second, eta)
 
 
 # -- integrand exponents ---------------------------------------------------------

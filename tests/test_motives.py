@@ -188,3 +188,20 @@ def test_kausz_class_dominates_open_part():
 def test_lefschetz_parse_round_trip():
     for poly in (gl_class(3), projective_class(5), grassmannian_class(2, 4)):
         assert parse_class(poly.render()) == poly
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("L*L", L(2)),
+        ("2*L*L", L(2) * 2),
+        ("L^2*3", L(2) * 3),
+    ],
+)
+def test_parse_class_multiplies_every_factor(text, expected):
+    assert parse_class(text) == expected
+
+
+def test_parse_class_rejects_rational_coefficients():
+    with pytest.raises(PreconditionError):
+        parse_class("1/2*L + 1")

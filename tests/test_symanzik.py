@@ -312,3 +312,32 @@ def test_k4_map_is_injective():
     report = upsilon_embedding_tests(complete_graph_k4())
     assert report["globally_injective"]
     assert report["injective_loops_cover_all_edges"]
+
+
+def test_one_cycle_basis_per_symanzik_call(monkeypatch, tmp_path):
+    """The CLI's upsilon and matrix commands and symanzik_data each build the
+    cycle basis once and reuse it for the flattened map and the determinant."""
+    import json
+
+    import rbren.symanzik as symanzik
+    from rbren import serde, symanzik_data
+    from rbren.cli import run
+
+    calls = []
+    cycle_basis = symanzik.cycle_basis_matrix
+
+    def counted(g):
+        calls.append(g)
+        return cycle_basis(g)
+
+    monkeypatch.setattr(symanzik, "cycle_basis_matrix", counted)
+    g = wheel_graph(5)
+    path = tmp_path / "w5.json"
+    path.write_text(json.dumps(serde.dump_graph(g)))
+    for command in ("upsilon", "matrix"):
+        calls.clear()
+        assert run(["symanzik", command, str(path)]).status == 0
+        assert len(calls) == 1, command
+    calls.clear()
+    symanzik_data(g)
+    assert len(calls) == 1

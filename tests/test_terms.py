@@ -1,0 +1,115 @@
+"""Canonical form of the six linear-combination element types."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from rbren import (
+    ContextError,
+    ExteriorElement,
+    HopfElement,
+    LaurentPoly,
+    LefschetzPolynomial,
+    MultiPoly,
+    TensorElement,
+)
+from rbren.poly import parse_laurent, parse_poly
+
+
+def _laurent(text, dist=("z",), variables=("c",)):
+    return parse_laurent(text, dist, variables)
+
+
+def _form(gens, terms):
+    return ExteriorElement(gens, {s: _laurent(t) for s, t in terms.items()})
+
+
+# per type: two elements with several terms, and an element over another
+# context (None for the types without a context)
+CASES = {
+    "MultiPoly": (
+        parse_poly("y^2+3*x*y-x", ("x", "y")),
+        parse_poly("x^2-3*x*y+2*y+1", ("x", "y")),
+        parse_poly("x", ("x", "z")),
+    ),
+    "LaurentPoly": (
+        _laurent("z^-2+c*z+c"),
+        _laurent("3*z^-1-c*z+1/2"),
+        _laurent("w^-1", ("w",)),
+    ),
+    "ExteriorElement": (
+        _form(("a", "b", "d"), {(1,): "z^-1", (0,): "c", (0, 2): "1"}),
+        _form(("a", "b", "d"), {(2,): "c*z", (0,): "-c", (): "2"}),
+        _form(("a", "e", "d"), {(0,): "1"}),
+    ),
+    "HopfElement": (
+        HopfElement({("G",): 2, ("B", "B"): 1, (): -1}),
+        HopfElement({("A",): F(1, 3), ("G",): -2, ("B",): 5}),
+        None,
+    ),
+    "TensorElement": (
+        TensorElement(2, {(("G",), ()): 1, ((), ("B",)): 3, (("A",), ("A",)): -1}),
+        TensorElement(2, {((), ("G",)): 2, (("G",), ()): -1, (("B",), ()): 1}),
+        TensorElement(3, {((), (), ("G",)): 1}),
+    ),
+    "LefschetzPolynomial": (
+        LefschetzPolynomial({3: 1, 0: -2, 1: 4}),
+        LefschetzPolynomial({1: -4, 2: 1, 5: 3}),
+        None,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    return CASES[request.param]
+
+
+def _canonical(x):
+    return list(x.terms) == sorted(x.terms) and all(x.terms.values())
+
+
+def test_cancelling_sum_leaves_no_terms(case):
+    x, y, _ = case
+    assert (x + (-x)).terms == {}
+    partial = x + y
+    assert _canonical(partial)
+    assert (partial - y).terms == x.terms
+
+
+def test_keys_sorted_after_add_and_multiply(case):
+    x, y, _ = case
+    for value in (x + y, y + x, x * y, y * x, x * x):
+        assert _canonical(value)
+
+
+def test_scalar_zero_gives_zero(case):
+    x, _, _ = case
+    assert (x * 0).is_zero() and (0 * x).is_zero()
+    assert not x * 0
+    assert (x * 0).terms == {}
+
+
+def test_difference_with_itself_is_zero(case):
+    x, y, _ = case
+    for value in (x, y, x * y):
+        assert (value - value).is_zero()
+        assert value - value == value.zero_like()
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if CASES[n][2]])
+def test_mismatched_contexts_raise_context_error(name):
+    x, _, other = CASES[name]
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ContextError):
+            op(x, other)
+
+
+def test_benchmark_traced_operators_are_own_class_attributes():
+    """perfbench/tracing.py wraps operators through ``owner.__dict__[attr]``,
+    so these must stay in each class's own ``__dict__``, not only in the
+    shared base; otherwise the traced benchmark run fails with KeyError."""
+    assert "__add__" in MultiPoly.__dict__
+    assert "__mul__" in MultiPoly.__dict__
+    assert "__mul__" in LaurentPoly.__dict__
+    assert "__mul__" in ExteriorElement.__dict__

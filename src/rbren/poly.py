@@ -25,13 +25,18 @@ from numbers import Rational
 from typing import Iterable, Mapping
 
 from ._terms import Terms
-from .errors import ContextError, PoleAtPointError
+from .errors import ContextError, PoleAtPointError, PreconditionError
 
 Exponents = tuple[int, ...]
 
 
 def _add_exps(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _max_exps(terms: Mapping[Exponents, Fraction]) -> Exponents:
+    """Componentwise maximum of nonempty exponent keys."""
+    return tuple(max(col) for col in zip(*terms))
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,39 @@ class MultiPoly(Terms):
             base = base * base
             n >>= 1
         return result
+
+    def exact_quotient(self, divisor: "MultiPoly") -> "MultiPoly | None":
+        """q with q * divisor == self, or None when divisor does not divide self.
+
+        Division by leading terms in lex order over the sorted exponent keys.
+        A quotient term whose exponent of some variable is negative, or exceeds
+        that variable's degree in self less its degree in divisor, proves that
+        no exact quotient exists, so the loop stops there.
+        """
+        self._check(divisor)
+        if divisor.is_zero():
+            raise PreconditionError("division by the zero polynomial")
+        if self.is_zero():
+            return self
+        lead, lead_coeff = next(reversed(divisor.terms.items()))
+        bounds = [a - b for a, b in zip(_max_exps(self.terms), _max_exps(divisor.terms))]
+        rest = dict(self.terms)
+        quotient = {}
+        while rest:
+            top = max(rest)
+            shift = tuple(a - b for a, b in zip(top, lead))
+            if any(s < 0 or s > b for s, b in zip(shift, bounds)):
+                return None
+            coeff = rest[top] / lead_coeff
+            quotient[shift] = coeff
+            for exps, c in divisor.terms.items():
+                key = _add_exps(shift, exps)
+                value = rest.get(key, 0) - coeff * c
+                if value:
+                    rest[key] = value
+                else:
+                    del rest[key]
+        return self._like(quotient)
 
     # -- queries ------------------------------------------------------------
 

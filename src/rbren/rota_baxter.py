@@ -200,11 +200,33 @@ class _Saito(_Algebra):
     def one(self):
         return SaitoForm(MultiPoly.const(self.poly_vars, 1), super().zero(), super().one())
 
+    @staticmethod
+    def _common(x, y):
+        """(denom, mx, my) with denom = mx * x.denom = my * y.denom.
+
+        denom is the shared denominator when the two are equal, the multiple
+        when one divides the other, and their product otherwise; a multiplier
+        of None stands for 1.
+        """
+        f, g = x.denom, y.denom
+        if f == g:
+            return f, None, None
+        if f.total_degree() >= g.total_degree():
+            q = f.exact_quotient(g)
+            if q is not None:
+                return f, None, q
+        else:
+            q = g.exact_quotient(f)
+            if q is not None:
+                return g, q, None
+        return f * g, g, f
+
     def add(self, x, y):
+        denom, mx, my = self._common(x, y)
         return self.reduce(
-            x.denom * y.denom,
-            y.denom * x.xi + x.denom * y.xi,
-            y.denom * x.eta + x.denom * y.eta,
+            denom,
+            _times(mx, x.xi) + _times(my, y.xi),
+            _times(mx, x.eta) + _times(my, y.eta),
         )
 
     def neg(self, x):
@@ -215,7 +237,6 @@ class _Saito(_Algebra):
 
     def mul(self, a, b):
         denom = a.denom * b.denom
-        self._check_coprime_h(denom)
         xi = a.xi * b.eta + a.eta * b.xi  # eta slots are even, no extra sign
         eta = a.eta * b.eta
         return self.reduce(denom, xi, eta)
@@ -224,20 +245,18 @@ class _Saito(_Algebra):
         return x.xi.is_zero() and x.eta.is_zero()
 
     def eq(self, x, y) -> bool:
-        return (y.denom * x.xi == x.denom * y.xi) and (y.denom * x.eta == x.denom * y.eta)
+        _, mx, my = self._common(x, y)
+        return _times(mx, x.xi) == _times(my, y.xi) and _times(mx, x.eta) == _times(my, y.eta)
 
     def T(self, x):
         return SaitoForm(x.denom, x.xi, x.eta.zero_like())
 
-    def _check_coprime_h(self, denom: MultiPoly):
+    def reduce(self, denom, xi, eta) -> SaitoForm:
         if denom.is_zero():
             raise InvariantError("zero denominator in a Saito triple")
         i = self.poly_vars.index("h")
         if all(e[i] > 0 for e in denom.terms):
             raise InvariantError("denominator shares the divisor h")
-
-    def reduce(self, denom, xi, eta) -> SaitoForm:
-        self._check_coprime_h(denom)
         for part, parity in ((xi, 1), (eta, 0)):
             if any(len(s) % 2 != parity for s in part.terms):
                 raise PreconditionError("Saito slots must have odd/even parity")
@@ -423,6 +442,11 @@ class RBAlgebraDescriptor:
 
     def random_element(self, rng: random.Random, even: bool = True):
         return self._algebra.random_element(rng, even)
+
+
+def _times(m: MultiPoly | None, part: ExteriorElement) -> ExteriorElement:
+    """m * part, with None standing for the multiplier 1."""
+    return part if m is None else m * part
 
 
 def min_exps(p: MultiPoly):

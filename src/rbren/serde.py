@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .errors import PreconditionError
+from .errors import ContextError, PreconditionError
 from .exterior import ExteriorElement
 from .graphs import FeynmanGraph
 from .hopf import HopfElement, TensorElement
@@ -160,24 +160,53 @@ def load_descriptor(data: dict) -> RBAlgebraDescriptor:
     )
 
 
-# the element schema of each algebra class: (dump(x, desc), load(data))
+def _laurent_contexts(p: LaurentPoly) -> list:
+    return [("dist", p.dist), ("vars", p.variables)]
+
+
+def _exterior_contexts(x: ExteriorElement) -> list:
+    coeffs = [pair for c in x.terms.values() for pair in _laurent_contexts(c)]
+    return [("gens", x.gens)] + coeffs
+
+
+def _saito_contexts(x: SaitoForm) -> list:
+    return [("vars", x.denom.variables)] + _exterior_contexts(x.xi) + _exterior_contexts(x.eta)
+
+
+# the element schema of each algebra class: (dump(x, desc), load(data),
+# contexts(x)); contexts lists the (field, names) pairs a loaded element carries
 _ELEMENT_SCHEMAS = {
-    _Laurent: (lambda x, desc: dump_laurent(x), load_laurent),
-    _Merom: (dump_exterior, load_exterior),
-    _NcLog: (dump_exterior, load_exterior),
-    _SmoothLog: (dump_exterior, load_exterior),
-    _Saito: (lambda x, desc: dump_saito(x), load_saito),
+    _Laurent: (lambda x, desc: dump_laurent(x), load_laurent, _laurent_contexts),
+    _Merom: (dump_exterior, load_exterior, _exterior_contexts),
+    _NcLog: (dump_exterior, load_exterior, _exterior_contexts),
+    _SmoothLog: (dump_exterior, load_exterior, _exterior_contexts),
+    _Saito: (lambda x, desc: dump_saito(x), load_saito, _saito_contexts),
 }
 
 
 def dump_element(desc: RBAlgebraDescriptor, x) -> Any:
-    dump, _ = _ELEMENT_SCHEMAS[desc.algebra_class]
+    dump, _, _ = _ELEMENT_SCHEMAS[desc.algebra_class]
     return dump(x, desc)
 
 
 def load_element(desc: RBAlgebraDescriptor, data) -> Any:
-    _, load = _ELEMENT_SCHEMAS[desc.algebra_class]
-    return load(data)
+    """Load an element of desc's algebra, checking its generators and
+    variables against the descriptor's."""
+    _, load, contexts = _ELEMENT_SCHEMAS[desc.algebra_class]
+    try:
+        x = load(data)
+    except KeyError as exc:
+        raise PreconditionError(
+            f"{desc.kind} element lacks the key {exc.args[0]!r}"
+        ) from None
+    expected = {"gens": desc.gens(), "dist": desc.dist_vars(), "vars": desc.poly_vars()}
+    for field, names in contexts(x):
+        if names != expected[field]:
+            raise ContextError(
+                f"element {field} {list(names)} differ from the {desc.kind} "
+                f"algebra's {list(expected[field])}"
+            )
+    return x
 
 
 # -- graphs ------------------------------------------------------------------------

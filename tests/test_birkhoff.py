@@ -3,6 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import (
+    bubble_graph,
+    gamma2_graph,
+    gamma3_chain_graph,
+    sunset_graph,
+    tadpole_graph,
+)
 from rbren import (
     Character,
     CutoffError,
@@ -20,7 +27,7 @@ from rbren import (
     verify_factorization,
 )
 from rbren.birkhoff import convolution_product, degree_cutoff, factorize_all
-from rbren.hopf import HopfElement
+from rbren.hopf import GeneratorRegistry, HopfElement
 from rbren.poly import parse_laurent
 
 H = HopfElement
@@ -309,3 +316,19 @@ def test_atkinson_closed_form_of_unit_character(library_registry):
     )
     # phi = e gives a = 0, so the closed form collapses to the unit
     assert atkinson_closed_form(char, library_registry, "B", 4) == desc.zero()
+
+
+def test_atkinson_closed_form_on_saito_character_matches_phi_minus():
+    # the closed form adds many Saito triples; over the product of
+    # denominators it grew them to degree 154 on Gamma3 and took minutes
+    reg = GeneratorRegistry(dim=4)
+    names = ("B", "sunset", "Gamma2", "Gamma3", "tadpole")
+    graphs = (bubble_graph, sunset_graph, gamma2_graph, gamma3_chain_graph, tadpole_graph)
+    for name, graph in zip(names, graphs):
+        reg.register(name, graph())
+    desc = RBAlgebraDescriptor.saito(2)
+    rng = random.Random(5)
+    char = Character(desc, rule=lambda name, graph: desc.random_element(rng), reg=reg)
+    for name in names:
+        minus, _ = birkhoff_factorize(char, reg, name)
+        assert desc.eq(atkinson_closed_form(char, reg, name, 4), minus)

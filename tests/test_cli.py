@@ -331,6 +331,26 @@ def test_rb_t_on_saito_element(tmp_path):
     assert back.eta.is_zero() and back.xi == w.xi
 
 
+def test_rb_t_rejects_an_element_of_another_algebra(tmp_path):
+    from rbren import RBAlgebraDescriptor
+
+    merom = RBAlgebraDescriptor.merom(4)
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps(serde.dump_element(merom, merom.form((("dx1", "dx2"), "f^-1")))))
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(json.dumps(serde.dump_descriptor(RBAlgebraDescriptor.nc_log(2, 2))))
+    result = run(["rb", "t", str(element), "--algebra", str(algebra)])
+    assert result.status == 1
+    assert result.payload["error"]["code"] == "context-mismatch"
+    assert "gens" in result.payload["error"]["message"]
+    saito = tmp_path / "saito.json"
+    saito.write_text(json.dumps(serde.dump_descriptor(RBAlgebraDescriptor.saito(4))))
+    result = run(["rb", "t", str(element), "--algebra", str(saito)])
+    assert result.status == 1
+    assert result.payload["error"]["code"] == "precondition"
+    assert "'denominator'" in result.payload["error"]["message"]
+
+
 def test_mixed_int_and_str_ids(tmp_path, capsys):
     # int and str edge and vertex ids in one graph: ids of different types
     # are ordered by type, never compared with each other

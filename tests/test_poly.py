@@ -1,9 +1,16 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rbren import ContextError, LaurentPoly, MultiPoly, PoleAtPointError
+from rbren import (
+    ContextError,
+    LaurentPoly,
+    MultiPoly,
+    PoleAtPointError,
+    PreconditionError,
+)
 from rbren.poly import parse_laurent, parse_poly
 
 import oracles
@@ -135,3 +142,74 @@ def test_poly_string_round_trip(a):
 @given(laurents())
 def test_laurent_string_round_trip(a):
     assert parse_laurent(str(a), a.dist, a.variables) == a
+
+
+# -- exact division against sympy ----------------------------------------------------
+
+Q_VARS = ("a", "b", "c", "d")
+
+
+def _random_poly(rng, max_terms=4):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.choice((0, 0, 1, 2)) for _ in Q_VARS)
+        terms[exps] = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 5)))
+    return MultiPoly(Q_VARS, terms)
+
+
+def _to_sympy(p):
+    import sympy
+
+    symbols = sympy.symbols(Q_VARS)
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(s**e for s, e in zip(symbols, exps)))
+        for exps, c in p.terms.items()
+    )
+    return sympy.Poly(expr, *symbols, domain="QQ")
+
+
+def test_exact_quotient_recovers_the_cofactor():
+    rng = random.Random(11)
+    for _ in range(150):
+        q, d = _random_poly(rng), _random_poly(rng)
+        assert (q * d).exact_quotient(d) == q
+
+
+def test_exact_quotient_is_none_exactly_where_sympy_leaves_a_remainder():
+    rng = random.Random(12)
+    divisible = 0
+    for _ in range(200):
+        d = _random_poly(rng, 3)
+        p = _random_poly(rng, 3) * d
+        if rng.random() < 0.6:
+            p = p + _random_poly(rng, 2)
+        got = p.exact_quotient(d)
+        _, remainder = _to_sympy(p).div(_to_sympy(d))
+        assert (got is None) == (not remainder.is_zero)
+        if got is not None:
+            divisible += 1
+            assert got * d == p
+    assert 50 < divisible < 150
+
+
+def test_exact_quotient_by_constants_and_monomials():
+    p = parse_poly("a^2*b-3*c*d+1/2*a*b^2*c", Q_VARS)
+    assert p.exact_quotient(MultiPoly.const(Q_VARS, F(-2, 3))) == p * F(-3, 2)
+    m = parse_poly("2*a*b", Q_VARS)
+    assert (p * m).exact_quotient(m) == p
+    assert p.exact_quotient(m) is None
+    assert parse_poly("a^2*b+a*b^2", Q_VARS).exact_quotient(m) == parse_poly(
+        "1/2*a+1/2*b", Q_VARS
+    )
+    zero = MultiPoly.zero(Q_VARS)
+    assert zero.exact_quotient(m) == zero
+    assert zero.exact_quotient(parse_poly("a+b-1", Q_VARS)) == zero
+
+
+def test_exact_quotient_rejects_zero_divisor_and_other_context():
+    p = parse_poly("a+1", Q_VARS)
+    with pytest.raises(PreconditionError):
+        p.exact_quotient(MultiPoly.zero(Q_VARS))
+    with pytest.raises(ContextError):
+        p.exact_quotient(parse_poly("a", ("a",)))

@@ -18,7 +18,7 @@ from rbren import (
     rb_defect,
     residue,
 )
-from rbren.poly import parse_laurent
+from rbren.poly import parse_laurent, parse_poly
 from rbren.rota_baxter import EXTRA_LAWS
 
 
@@ -222,6 +222,54 @@ def test_saito_equality_is_cross_multiplied():
         (eta * desc.coeff("x1")),
     )
     assert desc.eq(a, b)
+
+
+def test_saito_sum_keeps_a_shared_denominator():
+    desc = saito_desc()
+    w = desc.saito_element("x1+1", desc.form((("dx1",), "x2")), desc.form(((), "1")))
+    total = w
+    for _ in range(7):
+        total = desc.add(total, w)
+    assert total.denom == parse_poly("x1+1", desc.poly_vars())
+    assert desc.eq(total, desc.scalar(8, w))
+
+
+def test_saito_sum_over_a_dividing_denominator():
+    desc = saito_desc()
+    a = desc.saito_element("x1+1", desc.form((("dx1",), "1")), desc.form(((), "x2")))
+    b = desc.saito_element("x1^2-1", desc.form((("dx2",), "1")), desc.form(((), "1")))
+    total = desc.add(a, b)
+    assert total.denom == b.denom
+    assert total.xi == desc.form((("dx1",), "x1-1"), (("dx2",), "1"))
+    assert desc.eq(desc.add(b, a), total)
+    assert desc.is_zero(desc.sub(total, total))
+
+
+def test_saito_equality_with_coprime_denominators():
+    desc = saito_desc()
+    a = desc.saito_element("x1+1", desc.form((("dx1",), "1")), desc.form(((), "0")))
+    b = desc.saito_element("x2+1", desc.form((("dx1",), "1")), desc.form(((), "0")))
+    assert not desc.eq(a, b)
+    # equal values over denominators neither of which divides the other
+    c = desc.saito_element("x1*x2+x1+x2+1", desc.form((("dx1",), "x2+1")), desc.form(((), "0")))
+    d = desc.saito_element("x1*x3+x1+x3+1", desc.form((("dx1",), "x3+1")), desc.form(((), "0")))
+    assert desc.eq(c, d) and desc.eq(c, a)
+    assert not desc.eq(c, b)
+
+
+def test_saito_defect_denominator_stays_within_its_operands():
+    # every sum in rb_defect runs over a denominator that divides or equals
+    # the other, so the zero defect keeps the product of the two operand
+    # denominators (up to monomial and rational content)
+    desc = SWEEP_DESCRIPTORS["saito_form"]
+    rng = random.Random(21)
+    for _ in range(200):
+        x = desc.random_element(rng)
+        y = desc.random_element(rng)
+        defect = rb_defect(desc, x, y)
+        assert desc.is_zero(defect)
+        bound = x.denom.total_degree() + y.denom.total_degree()
+        assert defect.denom.total_degree() <= bound
 
 
 # -- seeded identity sweeps (smaller versions; acceptance runs the full sizes) ------

@@ -1,10 +1,15 @@
 import random
 
+import pytest
+
 from conftest import gamma2_graph, sunset_graph
 from rbren import (
     Character,
+    ContextError,
     HopfElement,
+    PreconditionError,
     RBAlgebraDescriptor,
+    SWEEP_DESCRIPTORS,
     TensorElement,
 )
 from rbren import serde
@@ -74,6 +79,46 @@ def test_element_dump_dispatch():
     laurent = RBAlgebraDescriptor.laurent_ms()
     x = parse_laurent("z^-1+2", ("z",), ())
     assert serde.load_element(laurent, serde.dump_element(laurent, x)) == x
+
+
+def test_load_element_round_trips_every_kind():
+    rng = random.Random(4)
+    for desc in SWEEP_DESCRIPTORS.values():
+        for _ in range(10):
+            x = desc.random_element(rng)
+            back = serde.load_element(desc, serde.dump_element(desc, x))
+            assert desc.eq(back, x)
+        zero = serde.load_element(desc, serde.dump_element(desc, desc.zero()))
+        assert desc.is_zero(zero)
+
+
+def test_load_element_rejects_another_algebras_context():
+    merom = RBAlgebraDescriptor.merom(4)
+    x = merom.random_element(random.Random(2))
+    with pytest.raises(ContextError, match="gens"):
+        serde.load_element(RBAlgebraDescriptor.nc_log(2, 2), serde.dump_element(merom, x))
+    # same generators dx1..dx4, other coefficient variables
+    with pytest.raises(ContextError, match="dist"):
+        serde.load_element(RBAlgebraDescriptor.nc_log(0, 4), serde.dump_element(merom, x))
+    laurent = serde.dump_element(RBAlgebraDescriptor.laurent_ms(), parse_laurent("z^-1", ("z",), ()))
+    with pytest.raises(ContextError, match="vars"):
+        serde.load_element(RBAlgebraDescriptor.laurent_ms(coeff_vars=("c",)), laurent)
+    saito = RBAlgebraDescriptor.saito(3)
+    w = serde.dump_element(saito, saito.random_element(random.Random(3)))
+    with pytest.raises(ContextError, match="vars"):
+        serde.load_element(RBAlgebraDescriptor.saito(2), w)
+
+
+def test_load_element_names_a_missing_schema_key():
+    cases = [
+        (RBAlgebraDescriptor.merom(4), RBAlgebraDescriptor.laurent_ms(), "'gens'"),
+        (RBAlgebraDescriptor.saito(2), RBAlgebraDescriptor.merom(2), "'denominator'"),
+        (RBAlgebraDescriptor.laurent_ms(), RBAlgebraDescriptor.saito(2), "'terms'"),
+    ]
+    for target, source, key in cases:
+        data = serde.dump_element(source, source.one())
+        with pytest.raises(PreconditionError, match=key):
+            serde.load_element(target, data)
 
 
 def test_character_round_trip(library_registry):

@@ -100,7 +100,7 @@ def main():
         ok, _ = verify_factorization(char, minus_char, plus_char, name, reg)
         print(f"  {name:10s} phi={char(name)}  phi-={minus}  phi+={plus}  ok={ok}")
 
-    b_l, _ = atkinson_solve(char, reg, 4)
+    b_l, _ = atkinson_solve(char, reg)
     agrees = all(b_l(n) == minus_char(n) for n in reg.names())
     print(f"  Atkinson fixed point reproduces phi-: {agrees}")
 

@@ -24,7 +24,6 @@ from .birkhoff import (
 )
 from .errors import (
     ContextError,
-    CutoffError,
     DisconnectedError,
     InvariantError,
     MissingValueError,

@@ -20,11 +20,10 @@ locking; they are not safe to share between threads.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Any, Callable
 
-from .errors import CutoffError, MissingValueError, PreconditionError
+from .errors import MissingValueError, PreconditionError
 from .graphs import FeynmanGraph, superficial_degree
 from .hopf import (
     GeneratorRegistry,
@@ -33,17 +32,10 @@ from .hopf import (
     antipode,
     coproduct,
     reduced_coproduct,
+    reduced_coproduct_iterated,
 )
 from .poly import LaurentPoly, MultiPoly
 from .rota_baxter import RBAlgebraDescriptor
-
-DEFAULT_DEGREE_CUTOFF = 4
-
-
-def degree_cutoff() -> int:
-    env = os.environ.get("RB_RENORM_DEGREE_CUTOFF")
-    return int(env) if env else DEFAULT_DEGREE_CUTOFF
-
 
 def _product(target, value: Callable[[str], Any], mono: Monomial) -> Any:
     """The product of value(name) over the factors of a monomial."""
@@ -135,34 +127,28 @@ def pole_power_character(
 
 
 class ConvolutionElement(_LinearMap):
-    """Map from the graded monomial basis into the target, defined through a
-    degree cutoff; evaluation beyond the cutoff raises CutoffError."""
+    """A map on the graded monomial basis, memoized per monomial.  Maps built
+    from the reduced coproduct recurse only into legs of lower degree, so the
+    grading alone ends their evaluation."""
 
-    def __init__(self, target, reg, cutoff: int, fn: Callable[[Monomial], Any]):
+    def __init__(self, target, fn: Callable[[Monomial], Any]):
         self.target = target
-        self.reg = reg
-        self.cutoff = cutoff
         self._fn = fn
         self._memo: dict[Monomial, Any] = {}
 
     def on_monomial(self, mono: Monomial) -> Any:
-        if self.reg.degree(mono) > self.cutoff:
-            raise CutoffError(
-                f"monomial degree {self.reg.degree(mono)} beyond cutoff {self.cutoff}"
-            )
         if mono not in self._memo:
             self._memo[mono] = self._fn(mono)
         return self._memo[mono]
 
 
-def unit_character(target, reg, cutoff: int | None = None) -> ConvolutionElement:
+def unit_character(target) -> ConvolutionElement:
     """The convolution unit e: 1 on the empty monomial, 0 above."""
-    cutoff = degree_cutoff() if cutoff is None else cutoff
 
     def fn(mono: Monomial):
         return target.one() if not mono else target.zero()
 
-    return ConvolutionElement(target, reg, cutoff, fn)
+    return ConvolutionElement(target, fn)
 
 
 def _pair(target, acc, tensor, left: Callable, right: Callable):
@@ -184,13 +170,7 @@ def convolve(phi1, phi2, x, reg: GeneratorRegistry):
 
 
 def convolution_product(phi1, phi2, reg) -> ConvolutionElement:
-    target = phi1.target
-    cutoff = min(
-        getattr(phi1, "cutoff", degree_cutoff()), getattr(phi2, "cutoff", degree_cutoff())
-    )
-    return ConvolutionElement(
-        target, reg, cutoff, lambda mono: convolve(phi1, phi2, mono, reg)
-    )
+    return ConvolutionElement(phi1.target, lambda mono: convolve(phi1, phi2, mono, reg))
 
 
 # -- Birkhoff factorization --------------------------------------------------------
@@ -251,8 +231,6 @@ def phi_minus_nonrecursive(char: Character, reg: GeneratorRegistry, name: str):
             f"non-recursive phi_minus needs a simple-T target, not {char.target.kind}"
         )
     target = char.target
-    from .hopf import reduced_coproduct_iterated
-
     result = target.neg(target.T(char.value(name)))
     degree = reg.degree(name)
     for n in range(1, degree):
@@ -298,16 +276,12 @@ def _e_minus_phi(char: Character, mono: Monomial):
     return char.target.neg(char.on_monomial(mono)) if mono else char.target.zero()
 
 
-def atkinson_solve(char: Character, reg: GeneratorRegistry, cutoff: int | None = None):
+def atkinson_solve(char: Character, reg: GeneratorRegistry):
     """Fixed points b_l = e + T(b_l a), b_r = e + (1-T)(a b_r) with a = e - phi,
-    solved degree by degree in the truncated convolution algebra.
+    solved degree by degree in the convolution algebra.
 
-    Then b_l * phi * b_r = e through the cutoff, and b_l agrees with
-    phi_minus.
+    Then b_l * phi * b_r = e, and b_l agrees with phi_minus.
     """
-    cutoff = degree_cutoff() if cutoff is None else cutoff
-    if cutoff < 1:
-        raise PreconditionError("cutoff must be >= 1")
     target = char.target
     a_value = lambda mono: _e_minus_phi(char, mono)
 
@@ -329,14 +303,12 @@ def atkinson_solve(char: Character, reg: GeneratorRegistry, cutoff: int | None =
         tensor = reduced_coproduct(HopfElement({mono: 1}), reg)
         return target.T_complement(_pair(target, acc, tensor, a_value, b_r.on_monomial))
 
-    b_l = ConvolutionElement(target, reg, cutoff, bl_fn)
-    b_r = ConvolutionElement(target, reg, cutoff, br_fn)
+    b_l = ConvolutionElement(target, bl_fn)
+    b_r = ConvolutionElement(target, br_fn)
     return b_l, b_r
 
 
-def atkinson_closed_form(
-    char: Character, reg: GeneratorRegistry, name: str, cutoff: int | None = None
-):
+def atkinson_closed_form(char: Character, reg: GeneratorRegistry, name: str):
     """b_l evaluated through the geometric series e + T(a) * sum_n a^{*n}.
 
     Needs the simple-T identities; agrees with atkinson_solve's b_l.
@@ -345,18 +317,18 @@ def atkinson_closed_form(
         raise PreconditionError(
             f"closed-form solution needs a simple-T target, not {char.target.kind}"
         )
-    cutoff = degree_cutoff() if cutoff is None else cutoff
     target = char.target
-    # the maps below are evaluated only on legs of Delta(name), of degree <= deg(name)
+    # a vanishes on the empty monomial and each generator in a leg of Delta
+    # has degree >= 1 (a quotient keeps an edge, and a 1PI graph with an edge
+    # has a loop), so a^{*n} vanishes below degree n; the legs of Delta(name)
+    # have degree <= deg(name), so the series ends at that power
     bound = reg.degree(name)
-    a_map = ConvolutionElement(target, reg, bound, lambda mono: _e_minus_phi(char, mono))
-    powers = [unit_character(target, reg, bound)]
-    for _ in range(cutoff):
+    a_map = ConvolutionElement(target, lambda mono: _e_minus_phi(char, mono))
+    powers = [unit_character(target)]
+    for _ in range(bound):
         prev = powers[-1]
         powers.append(
-            ConvolutionElement(
-                target, reg, bound, lambda mono, prev=prev: convolve(a_map, prev, mono, reg)
-            )
+            ConvolutionElement(target, lambda mono, prev=prev: convolve(a_map, prev, mono, reg))
         )
 
     def series(mono: Monomial):
@@ -365,7 +337,7 @@ def atkinson_closed_form(
             out = target.add(out, p(mono))
         return out
 
-    series_map = ConvolutionElement(target, reg, bound, series)
-    t_a = ConvolutionElement(target, reg, bound, lambda mono: target.T(a_map(mono)))
+    series_map = ConvolutionElement(target, series)
+    t_a = ConvolutionElement(target, lambda mono: target.T(a_map(mono)))
     # the unit e vanishes on the generator
     return convolve(t_a, series_map, (name,), reg)

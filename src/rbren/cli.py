@@ -22,7 +22,6 @@ from .birkhoff import (
     atkinson_solve,
     birkhoff_factorize,
     birkhoff_parts,
-    degree_cutoff,
     phi_minus_nonrecursive,
     verify_factorization,
 )
@@ -187,8 +186,7 @@ def _cmd_birkhoff(args) -> Any:
         value = phi_minus_nonrecursive(char, reg, name)
         return {"generator": name, "phi_minus": serde.dump_element(target, value)}
     if args.birkhoff_cmd == "atkinson":
-        depth = args.depth or degree_cutoff()
-        b_l, b_r = atkinson_solve(char, reg, depth)
+        b_l, b_r = atkinson_solve(char, reg)
         payload = {
             "generator": name,
             "b_left": serde.dump_element(target, b_l(name)),
@@ -196,7 +194,7 @@ def _cmd_birkhoff(args) -> Any:
         }
         if target.has_simple_T:
             payload["b_left_closed_form"] = serde.dump_element(
-                target, atkinson_closed_form(char, reg, name, depth)
+                target, atkinson_closed_form(char, reg, name)
             )
         return payload
     raise PreconditionError(f"unknown birkhoff command {args.birkhoff_cmd!r}")
@@ -345,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--library", required=True)
         if name == "factorize":
             p.add_argument("--verify", action="store_true")
-        if name == "atkinson":
-            p.add_argument("--depth", type=int)
 
     p_sym = sub.add_parser("symanzik", help="graph polynomials")
     s_sub = p_sym.add_subparsers(dest="symanzik_cmd", required=True)

@@ -45,10 +45,6 @@ class MissingValueError(RbrenError):
     code = "missing-character-value"
 
 
-class CutoffError(RbrenError):
-    code = "degree-cutoff"
-
-
 class PreconditionError(RbrenError):
     code = "precondition"
 

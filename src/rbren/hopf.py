@@ -272,6 +272,19 @@ class GeneratorRegistry:
         self._coproduct_cache[name] = result
         return result
 
+    def antipode_gen(self, name: str) -> HopfElement:
+        """S(G) = -G - sum S(G') G'' over the reduced coproduct, memoized."""
+        name = self._aliases.get(name, name)
+        cached = self._antipode_cache.get(name)
+        if cached is not None:
+            return cached
+        result = HopfElement.gen(name, -1)
+        for (left, right), coeff in reduced_coproduct(HopfElement.gen(name), self).terms.items():
+            s_left = antipode(HopfElement({left: 1}), self)
+            result = result - coeff * (s_left * HopfElement({right: 1}))
+        self._antipode_cache[name] = result
+        return result
+
 
 def coproduct(x: HopfElement, reg: GeneratorRegistry) -> TensorElement:
     """Algebra-homomorphism extension of the generator coproduct."""
@@ -324,19 +337,6 @@ def antipode(x: HopfElement, reg: GeneratorRegistry) -> HopfElement:
     for mono, coeff in x.terms.items():
         part = HopfElement.unit(1)
         for name in mono:
-            part = part * _antipode_gen(name, reg)
+            part = part * reg.antipode_gen(name)
         total = total + coeff * part
     return total
-
-
-def _antipode_gen(name: str, reg: GeneratorRegistry) -> HopfElement:
-    name = reg._aliases.get(name, name)
-    cached = reg._antipode_cache.get(name)
-    if cached is not None:
-        return cached
-    result = HopfElement.gen(name, -1)
-    for (left, right), coeff in reduced_coproduct(HopfElement.gen(name), reg).terms.items():
-        s_left = antipode(HopfElement({left: 1}), reg)
-        result = result - coeff * (s_left * HopfElement({right: 1}))
-    reg._antipode_cache[name] = result
-    return result

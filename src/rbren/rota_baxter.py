@@ -317,12 +317,12 @@ _ALGEBRAS = {
 @dataclass(frozen=True)
 class RBAlgebraDescriptor:
     """An algebra kind with its sizes; the kind's class does the arithmetic.
+    Every kind carries the weight -1 polar splitting.
 
     Every operation stays a method of this class, so that a wrapper installed
     on the class (a profiler, a tracer) sees each call."""
 
     kind: str
-    weight: Fraction = Fraction(-1)
     divisors: int = 0
     ambient: int = 0
     coeff_vars: tuple[str, ...] = ()
@@ -333,10 +333,6 @@ class RBAlgebraDescriptor:
             raise PreconditionError(f"unknown algebra kind {self.kind!r}")
         object.__setattr__(self, "coeff_vars", tuple(self.coeff_vars))
         object.__setattr__(self, "_algebra", kind_class(self))
-        if Fraction(self.weight) != -1:
-            # every provided kind carries the weight -1 polar splitting
-            raise PreconditionError("descriptor weight must be -1")
-        object.__setattr__(self, "weight", Fraction(self.weight))
 
     # -- constructors per kind ----------------------------------------------
 
@@ -498,24 +494,24 @@ def failed_laws(desc: RBAlgebraDescriptor, x, y) -> list[str]:
 
 
 def rb_defect(desc: RBAlgebraDescriptor, x, y):
-    """T(x)T(y) - T(xT(y)) - T(T(x)y) - weight*T(xy); zero certifies the
+    """T(x)T(y) - T(xT(y)) - T(T(x)y) + T(xy); zero certifies the weight -1
     Rota-Baxter identity on the pair."""
     T = desc.T
     mul = desc.mul
     out = mul(T(x), T(y))
     out = desc.sub(out, T(mul(x, T(y))))
     out = desc.sub(out, T(mul(T(x), y)))
-    out = desc.sub(out, desc.scalar(desc.weight, T(mul(x, y))))
+    out = desc.add(out, T(mul(x, y)))
     return out
 
 
-def operator_defect(T: Callable, x, y, weight=Fraction(-1)):
+def operator_defect(T: Callable, x, y):
     """Same defect for an arbitrary operator on a ring with dunder arithmetic.
 
     Lets one probe non-examples, e.g. the inclusion-exclusion polar operator
     1 - (1-T1)(1-T2) on a two-variable Laurent ring, which fails weight -1.
     """
-    return T(x) * T(y) - T(x * T(y)) - T(T(x) * y) - Fraction(weight) * T(x * y)
+    return T(x) * T(y) - T(x * T(y)) - T(T(x) * y) + T(x * y)
 
 
 def residue(desc: RBAlgebraDescriptor, x: ExteriorElement, j: int) -> ExteriorElement:

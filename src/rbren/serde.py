@@ -143,7 +143,6 @@ def load_saito(data: dict) -> SaitoForm:
 def dump_descriptor(desc: RBAlgebraDescriptor) -> dict:
     return {
         "kind": desc.kind,
-        "weight": frac_str(desc.weight),
         "divisors": desc.divisors,
         "ambient": desc.ambient,
         "coeff_vars": list(desc.coeff_vars),
@@ -151,13 +150,16 @@ def dump_descriptor(desc: RBAlgebraDescriptor) -> dict:
 
 
 def load_descriptor(data: dict) -> RBAlgebraDescriptor:
-    return RBAlgebraDescriptor(
+    desc = RBAlgebraDescriptor(
         kind=data["kind"],
-        weight=parse_frac(data.get("weight", -1)),
         divisors=int(data.get("divisors", 0)),
         ambient=int(data.get("ambient", 0)),
         coeff_vars=tuple(data.get("coeff_vars", ())),
     )
+    if parse_frac(data.get("weight", -1)) != -1:
+        # every kind carries the weight -1 polar splitting
+        raise PreconditionError("descriptor weight must be -1")
+    return desc
 
 
 def _laurent_contexts(p: LaurentPoly) -> list:

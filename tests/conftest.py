@@ -71,6 +71,14 @@ def gamma3_chain_graph() -> FeynmanGraph:
     )
 
 
+def bubble_chain_graph(n: int) -> FeynmanGraph:
+    """C_n: a chain of n bubbles (n loops, 2n edges), two legs at each end."""
+    vs = tuple(f"v{i}" for i in range(n + 1))
+    edges = tuple((f"e{i}{j}", vs[i], vs[i + 1]) for i in range(n) for j in (1, 2))
+    legs = ((vs[0], P1), (vs[0], P2), (vs[n], _neg(P1)), (vs[n], _neg(P2)))
+    return FeynmanGraph(vs, edges, legs)
+
+
 def banana4_graph() -> FeynmanGraph:
     """Four parallel edges (3 loops)."""
     return FeynmanGraph(

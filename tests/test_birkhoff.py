@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    bubble_chain_graph,
     bubble_graph,
     gamma2_graph,
     gamma3_chain_graph,
@@ -12,7 +13,6 @@ from conftest import (
 )
 from rbren import (
     Character,
-    CutoffError,
     MissingValueError,
     PreconditionError,
     RBAlgebraDescriptor,
@@ -26,7 +26,7 @@ from rbren import (
     unit_character,
     verify_factorization,
 )
-from rbren.birkhoff import convolution_product, degree_cutoff, factorize_all
+from rbren.birkhoff import convolution_product, factorize_all
 from rbren.hopf import GeneratorRegistry, HopfElement
 from rbren.poly import parse_laurent
 
@@ -73,7 +73,7 @@ def nc_char(reg, seed=17):
 
 
 def test_convolution_unit(library_registry, laurent_char):
-    e = unit_character(LAURENT, library_registry)
+    e = unit_character(LAURENT)
     for name in ("B", "Gamma2", "sunset"):
         assert convolve(e, laurent_char, name, library_registry) == laurent_char(name)
         assert convolve(laurent_char, e, name, library_registry) == laurent_char(name)
@@ -93,12 +93,6 @@ def test_convolution_on_gamma2(library_registry, laurent_char):
     )
     expected = phi1("Gamma2") + phi2("Gamma2") + 2 * phi1("B") * phi2("B")
     assert convolve(phi1, phi2, "Gamma2", library_registry) == expected
-
-
-def test_convolution_cutoff_error(library_registry, laurent_char):
-    e = unit_character(LAURENT, library_registry, cutoff=1)
-    with pytest.raises(CutoffError):
-        convolve(e, e, "Gamma2", library_registry)
 
 
 # -- recursive factorization -----------------------------------------------------------
@@ -200,7 +194,6 @@ def test_smooth_log_two_level_nesting_formula(library_registry):
 
 
 def test_atkinson_on_unit_character(library_registry):
-    e = unit_character(LAURENT, library_registry)
     char = Character(
         LAURENT,
         values={name: LAURENT.zero() for name in library_registry.names()},
@@ -208,7 +201,7 @@ def test_atkinson_on_unit_character(library_registry):
     )
     # phi = e means a = 0, so both fixed points are the unit
     char.values = {name: LAURENT.zero() for name in library_registry.names()}
-    b_l, b_r = atkinson_solve(char, library_registry, 4)
+    b_l, b_r = atkinson_solve(char, library_registry)
     for name in ("B", "Gamma2"):
         assert b_l(name) == LAURENT.zero()
         assert b_r(name) == LAURENT.zero()
@@ -217,12 +210,12 @@ def test_atkinson_on_unit_character(library_registry):
 
 def test_atkinson_primitive(library_registry):
     char = Character(LAURENT, values={"B": z("z^-1+3")}, reg=library_registry)
-    b_l, _ = atkinson_solve(char, library_registry, 2)
+    b_l, _ = atkinson_solve(char, library_registry)
     assert b_l("B") == z("-z^-1")
 
 
 def test_atkinson_agrees_with_birkhoff(library_registry, laurent_char):
-    b_l, _ = atkinson_solve(laurent_char, library_registry, 4)
+    b_l, _ = atkinson_solve(laurent_char, library_registry)
     for name in factorize_all(laurent_char, library_registry):
         minus, _ = birkhoff_factorize(laurent_char, library_registry, name)
         assert b_l(name) == minus
@@ -230,16 +223,14 @@ def test_atkinson_agrees_with_birkhoff(library_registry, laurent_char):
 
 def test_atkinson_factorization_identity(library_registry, laurent_char):
     names = factorize_all(laurent_char, library_registry)
-    b_l, b_r = atkinson_solve(laurent_char, library_registry, 4)
+    b_l, b_r = atkinson_solve(laurent_char, library_registry)
     product = convolution_product(
         convolution_product(b_l, laurent_char, library_registry),
         b_r,
         library_registry,
     )
-    e = unit_character(LAURENT, library_registry)
+    e = unit_character(LAURENT)
     for name in names:
-        if library_registry.degree(name) > 4:
-            continue
         assert product(name) == e(name)
     assert product(()) == LAURENT.one()
 
@@ -247,14 +238,14 @@ def test_atkinson_factorization_identity(library_registry, laurent_char):
 def test_atkinson_closed_form_matches_iterative(library_registry):
     char = nc_char(library_registry, seed=23)
     names = factorize_all(char, library_registry)
-    b_l, _ = atkinson_solve(char, library_registry, 4)
+    b_l, _ = atkinson_solve(char, library_registry)
     for name in names:
-        assert atkinson_closed_form(char, library_registry, name, 4) == b_l(name)
+        assert atkinson_closed_form(char, library_registry, name) == b_l(name)
 
 
 def test_atkinson_closed_form_needs_simple_T(library_registry, laurent_char):
     with pytest.raises(PreconditionError):
-        atkinson_closed_form(laurent_char, library_registry, "B", 4)
+        atkinson_closed_form(laurent_char, library_registry, "B")
 
 
 def test_pole_power_character(library_registry):
@@ -266,13 +257,6 @@ def test_pole_power_character(library_registry):
     for name in factorize_all(char, library_registry):
         ok, _ = verify_factorization(char, minus, plus, name, library_registry)
         assert ok
-
-
-def test_degree_cutoff_env(monkeypatch):
-    monkeypatch.setenv("RB_RENORM_DEGREE_CUTOFF", "7")
-    assert degree_cutoff() == 7
-    monkeypatch.delenv("RB_RENORM_DEGREE_CUTOFF")
-    assert degree_cutoff() == 4
 
 
 def test_plus_and_minus_parts_are_characters(library_registry, laurent_char):
@@ -315,7 +299,7 @@ def test_atkinson_closed_form_of_unit_character(library_registry):
         desc, rule=lambda name, graph: desc.zero(), reg=library_registry
     )
     # phi = e gives a = 0, so the closed form collapses to the unit
-    assert atkinson_closed_form(char, library_registry, "B", 4) == desc.zero()
+    assert atkinson_closed_form(char, library_registry, "B") == desc.zero()
 
 
 def test_atkinson_closed_form_on_saito_character_matches_phi_minus():
@@ -331,4 +315,18 @@ def test_atkinson_closed_form_on_saito_character_matches_phi_minus():
     char = Character(desc, rule=lambda name, graph: desc.random_element(rng), reg=reg)
     for name in names:
         minus, _ = birkhoff_factorize(char, reg, name)
-        assert desc.eq(atkinson_closed_form(char, reg, name, 4), minus)
+        assert desc.eq(atkinson_closed_form(char, reg, name), minus)
+
+
+def test_atkinson_on_six_bubble_chain_matches_phi_minus():
+    # C6 has degree 6; a series stopped at a^{*4} gave -720 x1 dlog1^dx1
+    reg = GeneratorRegistry(dim=4)
+    reg.register("C6", bubble_chain_graph(6))
+    desc = RBAlgebraDescriptor.nc_log(1, 1)
+    phi = desc.add(desc.one(), desc.form((("dlog1", "dx1"), "x1")))
+    char = Character(desc, rule=lambda name, graph: phi, reg=reg)
+    minus, _ = birkhoff_factorize(char, reg, "C6")
+    b_l, _ = atkinson_solve(char, reg)
+    assert minus == desc.zero()
+    assert atkinson_closed_form(char, reg, "C6") == minus
+    assert b_l("C6") == minus

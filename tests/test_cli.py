@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    bubble_chain_graph,
     bubble_graph,
     gamma2_graph,
     sunset_graph,
@@ -187,6 +188,28 @@ def test_birkhoff_verify_factorizes_the_generators_it_needs(tmp_path, library_fi
     result = run(argv + ["--library", library_file, "--verify"])
     assert result.status == 0, result.payload
     assert result.payload["verified"] is True
+
+
+def test_birkhoff_atkinson_on_six_bubble_chain_matches_factorize(tmp_path):
+    # C6 has degree 6: a series stopped at a degree cutoff of 4 ended this
+    # command with a degree-cutoff error, and its closed form was nonzero
+    names = [f"C{n}" for n in range(1, 7)]
+    lib = {"dim": 4, "graphs": {c: serde.dump_graph(bubble_chain_graph(n))
+                                for n, c in enumerate(names, 1)}}
+    desc = serde.load_descriptor({"kind": "nc_log_form", "divisors": 1, "ambient": 1})
+    phi = desc.add(desc.one(), desc.form((("dlog1", "dx1"), "x1")))
+    char = {"target": serde.dump_descriptor(desc),
+            "values": {c: serde.dump_element(desc, phi) for c in names}}
+    lib_path, char_path = tmp_path / "library.json", tmp_path / "char.json"
+    lib_path.write_text(json.dumps(lib))
+    char_path.write_text(json.dumps(char))
+    argv = ["C6", "--character", str(char_path), "--library", str(lib_path)]
+    atkinson = run(["birkhoff", "atkinson"] + argv)
+    factorize = run(["birkhoff", "factorize"] + argv)
+    assert atkinson.status == 0, atkinson.payload
+    assert factorize.status == 0, factorize.payload
+    assert atkinson.payload["b_left"] == factorize.payload["phi_minus"]
+    assert atkinson.payload["b_left_closed_form"] == factorize.payload["phi_minus"]
 
 
 def test_rb_sweep_cli():

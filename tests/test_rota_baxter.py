@@ -18,6 +18,7 @@ from rbren import (
     rb_defect,
     residue,
 )
+from rbren import serde
 from rbren.poly import parse_laurent, parse_poly
 from rbren.rota_baxter import EXTRA_LAWS
 
@@ -318,7 +319,7 @@ def test_smooth_log_one_minus_T_is_multiplicative():
 
 def test_descriptor_rejects_other_weights():
     with pytest.raises(PreconditionError):
-        RBAlgebraDescriptor("laurent_ms", weight=F(1))
+        serde.load_descriptor({"kind": "laurent_ms", "weight": "1"})
 
 
 def test_residue_T_compatibility_randomized():

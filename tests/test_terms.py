@@ -107,6 +107,31 @@ def test_mismatched_contexts_raise_context_error(name):
             op(x, other)
 
 
+def test_benchmark_traced_operators_are_own_class_attributes():
+    """perfbench/tracing.py wraps operators through ``owner.__dict__[attr]``,
+    so these must stay in each class's own ``__dict__``, not only in the
+    shared base; otherwise the traced benchmark run fails with KeyError."""
+    assert "__add__" in MultiPoly.__dict__
+    assert "__mul__" in MultiPoly.__dict__
+    assert "__mul__" in LaurentPoly.__dict__
+    assert "__mul__" in ExteriorElement.__dict__
+
+
+def test_benchmark_traced_algebra_operations_stay_in_place():
+    """perfbench/tracing.py wraps RBAlgebraDescriptor's mul, add and T through
+    ``RBAlgebraDescriptor.__dict__[attr]`` and finds rb_defect as the module
+    function ``rbren.rota_baxter.rb_defect``; moving any of them (into the
+    per-kind classes, a base class or another module) breaks the traced
+    benchmark run, so this guard fails first."""
+    import rbren
+    from rbren import rota_baxter
+
+    for attr in ("mul", "add", "T"):
+        assert attr in rota_baxter.RBAlgebraDescriptor.__dict__
+    assert rbren.rota_baxter is rota_baxter
+    assert rota_baxter.rb_defect.__module__ == "rbren.rota_baxter"
+
+
 def test_benchmark_tracer_installs_and_uninstalls():
     """perfbench/tracing.py wraps rbren functions, methods and operators by
     name; renaming or moving any of them makes ``install`` fail here, not

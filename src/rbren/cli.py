@@ -82,15 +82,14 @@ def _load_registry(args) -> GeneratorRegistry:
     if getattr(args, "library", None):
         lib = serde.read_json(args.library)
         reg = GeneratorRegistry(
-            dim=int(lib.get("dim", getattr(args, "dim", 4) or 4)),
+            dim=int(lib.get("dim", getattr(args, "dim", 4))),
             even_only=bool(lib.get("even_only", getattr(args, "even_only", False))),
-            grading=lib.get("grading", "loops"),
         )
         for name, graph_data in sorted(lib.get("graphs", {}).items()):
             reg.register(name, serde.load_graph(graph_data))
         return reg
     return GeneratorRegistry(
-        dim=getattr(args, "dim", 4) or 4,
+        dim=getattr(args, "dim", 4),
         even_only=bool(getattr(args, "even_only", False)),
     )
 

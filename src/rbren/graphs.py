@@ -26,8 +26,9 @@ from .errors import (
 VertexId = str | int
 EdgeId = str | int
 
-CANONICAL_KEY_EDGE_BOUND = 12
-_PERMUTATION_GUARD = 2_000_000
+# relabelings x internal edges that canonical_key may search (2M relabelings
+# of a 12-edge graph)
+CANONICAL_KEY_WORK_BOUND = 24_000_000
 
 
 def _sort_ids(ids):
@@ -487,9 +488,6 @@ def divergent_subgraphs(
             components[r] = components.get(r, ()) + (i,)
         if all(is_divergent(c) for c in components.values()):
             found.append(members)
-    # subset-scan order (size, then edge positions) before the id sort, so
-    # ids of mixed types meet the same comparisons as in a subset scan
-    found.sort(key=lambda members: (len(members), members))
     specs = [spec_of(members) for members in found]
     return sorted(specs, key=lambda s: (len(s.edges), _id_order(s.edges)))
 
@@ -591,19 +589,15 @@ def cycle_basis_matrix(g: FeynmanGraph) -> list[list[int]]:
 # -- canonical labeling ---------------------------------------------------------
 
 
-def canonical_key(g: FeynmanGraph, max_edges: int = CANONICAL_KEY_EDGE_BOUND) -> bytes:
+def canonical_key(g: FeynmanGraph) -> bytes:
     """Isomorphism-invariant key by exhaustive search over color-preserving
     vertex relabelings (colors are external-leg multiplicities).
 
     Orientation of internal edges and momentum values are ignored.  Raises
-    SizeBoundError beyond the configured bound; name such generators
-    explicitly instead of relying on isomorphism collapsing.
+    SizeBoundError when relabelings x internal edges exceed
+    CANONICAL_KEY_WORK_BOUND; name such generators explicitly instead of
+    relying on isomorphism collapsing.
     """
-    if len(g.internal_edges) > max_edges:
-        raise SizeBoundError(
-            f"graph has {len(g.internal_edges)} internal edges"
-            f" (bound {max_edges}); name generators explicitly"
-        )
     ext = g.external_multiplicity()
     degree = {v: 0 for v in g.vertices}
     for _, tail, head in g.internal_edges:
@@ -620,12 +614,14 @@ def canonical_key(g: FeynmanGraph, max_edges: int = CANONICAL_KEY_EDGE_BOUND) ->
             classes[-1].append(v)
         else:
             classes.append([v])
-    total = 1
+    work = max(len(g.internal_edges), 1)
     for cls in classes:
-        total *= math.factorial(len(cls))
-        if total > _PERMUTATION_GUARD:
+        work *= math.factorial(len(cls))
+        if work > CANONICAL_KEY_WORK_BOUND:
             raise SizeBoundError(
-                "too many candidate relabelings; name generators explicitly"
+                "relabeling search exceeds the work bound"
+                f" {CANONICAL_KEY_WORK_BOUND} (relabelings x internal edges);"
+                " name generators explicitly"
             )
     pairs = [(tail, head) for _, tail, head in g.internal_edges]
     best = None

@@ -150,10 +150,11 @@ class TensorElement(Terms):
 class GeneratorRegistry:
     """Named 1PI graph generators with canonical-key identification.
 
-    ``dim`` is the spacetime dimension used for power counting, ``even_only``
-    restricts generators and coproduct subgraphs to an even number of
-    internal edges, and ``grading`` selects loop-number or edge-count degree.
-    A custom divergence degree can be supplied via ``degree_fn``.
+    ``dim`` is the spacetime dimension used for power counting, and
+    ``even_only`` restricts generators and coproduct subgraphs to an even
+    number of internal edges.  A custom divergence degree can be supplied via
+    ``degree_fn``.  The algebra is graded by loop number and connected: every
+    generator has an internal edge, so, being 1PI, at least one loop.
 
     Sub- and quotient graphs the coproduct encounters are auto-registered
     under reserved names ``!g1, !g2, ...``; registering an isomorphic graph
@@ -164,14 +165,10 @@ class GeneratorRegistry:
         self,
         dim: int = 4,
         even_only: bool = False,
-        grading: str = "loops",
         degree_fn: Callable[[FeynmanGraph, int], int] | None = None,
     ):
-        if grading not in ("loops", "edges"):
-            raise PreconditionError("grading must be 'loops' or 'edges'")
         self.dim = dim
         self.even_only = even_only
-        self.grading = grading
         self.degree_fn = degree_fn
         self._graphs: dict[str, FeynmanGraph] = {}
         self._primary: dict[bytes, str] = {}
@@ -191,6 +188,8 @@ class GeneratorRegistry:
         """
         if not is_1pi(graph):
             raise PreconditionError(f"generator {name!r} is not 1PI")
+        if not graph.internal_edges:
+            raise PreconditionError(f"generator {name!r} has no internal edge")
         if self.even_only and len(graph.internal_edges) % 2 != 0:
             raise PreconditionError(
                 f"generator {name!r} has an odd number of internal edges"
@@ -236,13 +235,10 @@ class GeneratorRegistry:
         return tuple(sorted(n for n in self._graphs if n not in self._aliases))
 
     def degree(self, item) -> int:
-        """Degree of a generator name or monomial (sum over factors)."""
+        """Loop number of a generator name or monomial (sum over factors)."""
         if isinstance(item, tuple):
             return sum(self.degree(name) for name in item)
-        g = self.graph(item)
-        if self.grading == "loops":
-            return loop_number(g)
-        return len(g.internal_edges)
+        return loop_number(self.graph(item))
 
     # -- structure maps ------------------------------------------------------
 

@@ -228,12 +228,12 @@ class Arrangement:
         object.__setattr__(self, "hyperplanes", tuple(planes))
 
 
-def char_poly(arr: Arrangement, bound: int = ARRANGEMENT_BOUND) -> LefschetzPolynomial:
+def char_poly(arr: Arrangement) -> LefschetzPolynomial:
     """Whitney expansion chi(t) = sum_S (-1)^|S| t^(ambient - rank S) of the
     central arrangement (exponential in the number of hyperplanes)."""
     n = len(arr.hyperplanes)
-    if n > bound:
-        raise SizeBoundError(f"{n} hyperplanes exceed the bound {bound}")
+    if n > ARRANGEMENT_BOUND:
+        raise SizeBoundError(f"{n} hyperplanes exceed the bound {ARRANGEMENT_BOUND}")
     coeffs: dict[int, int] = {}
 
     def walk(i: int, size: int, basis: list):

@@ -10,6 +10,7 @@ from conftest import (
     gamma3_chain_graph,
     sunset_graph,
     tadpole_graph,
+    wheel_graph,
 )
 from rbren import (
     Character,
@@ -257,6 +258,21 @@ def test_pole_power_character(library_registry):
     for name in factorize_all(char, library_registry):
         ok, _ = verify_factorization(char, minus, plus, name, library_registry)
         assert ok
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_wheels_past_twelve_edges_register_and_factorize(n):
+    """W7 and W8 (14 and 16 edges) at dim 4: every generator factorizes and
+    verifies."""
+    reg = GeneratorRegistry(dim=4)
+    assert reg.register(f"W{n}", wheel_graph(n)) == f"W{n}"
+    char = pole_power_character(reg, c=F(1, 2))
+    names = factorize_all(char, reg)
+    minus, plus = birkhoff_parts(char, reg)
+    for name in names:
+        ok, defect = verify_factorization(char, minus, plus, name, reg)
+        assert ok, (name, defect)
+    assert f"W{n}" in names and reg.degree(f"W{n}") == n
 
 
 def test_plus_and_minus_parts_are_characters(library_registry, laurent_char):

@@ -272,6 +272,30 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert out["error"]["code"] == "disconnected-graph"
 
 
+def test_hopf_counit_refuses_a_point(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(
+        json.dumps({"vertices": ["v"], "internal_edges": [], "external_edges": []})
+    )
+    assert main(["hopf", "counit", "--graph", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["code"] == "precondition"
+    assert "has no internal edge" in out["error"]["message"]
+
+
+def test_hopf_coproduct_honours_dim_zero(sunset_file):
+    """At dim 0 the sunset has no divergent subgraph, so only the two
+    primitive terms remain."""
+    assert run(["graph", "divergent", sunset_file, "--dim", "0"]).payload == {
+        "divergent_subgraphs": []
+    }
+    result = run(["hopf", "coproduct", "--graph", sunset_file, "--dim", "0"])
+    assert result.status == 0
+    assert result.payload["pretty"] == "1*[1 (x) !g1] + 1*[!g1 (x) 1]"
+    at_four = run(["hopf", "coproduct", "--graph", sunset_file, "--dim", "4"])
+    assert "3*[!g2 (x) !g3]" in at_four.payload["pretty"]
+
+
 def test_usage_error_exit_code():
     assert run(["frobnicate"]).status == 2
     assert run([]).status == 2

@@ -40,6 +40,7 @@ from rbren import (
     superficial_degree,
 )
 from rbren._linalg import rational_rank
+from rbren.graphs import CANONICAL_KEY_WORK_BOUND
 
 
 def pairs(g):
@@ -216,11 +217,6 @@ def test_canonical_key_gamma2_bubbles_agree(gamma2):
     right = subgraph_view(gamma2, SubgraphSpec.from_edges(gamma2, ("e3", "e4")))
     assert canonical_key(left) == canonical_key(right)
     assert canonical_key(left) == canonical_key(bubble_graph())
-
-
-def test_canonical_key_size_bound(sunset):
-    with pytest.raises(SizeBoundError):
-        canonical_key(sunset, max_edges=2)
 
 
 def test_momentum_conservation_enforced():
@@ -411,8 +407,102 @@ def test_canonical_key_permutation_guard():
     n = 12
     edges = tuple((f"e{i}", i, (i + 1) % n) for i in range(n))
     g = FeynmanGraph(tuple(range(n)), edges)
-    with pytest.raises(SizeBoundError):
+    with pytest.raises(SizeBoundError, match=str(CANONICAL_KEY_WORK_BOUND)):
         canonical_key(g)
+
+
+def _relabeled(g, rng):
+    """g with fresh vertex and edge ids, shuffled vertex and edge order and
+    random edge orientations."""
+    new_ids = list(range(len(g.vertices)))
+    rng.shuffle(new_ids)
+    vmap = dict(zip(g.vertices, new_ids))
+    edge_ids = [f"f{i}" for i in range(len(g.internal_edges))]
+    rng.shuffle(edge_ids)
+    edges = []
+    for eid, (_, tail, head) in zip(edge_ids, g.internal_edges):
+        if rng.random() < 0.5:
+            tail, head = head, tail
+        edges.append((eid, vmap[tail], vmap[head]))
+    rng.shuffle(edges)
+    rng.shuffle(new_ids)
+    legs = tuple((vmap[v], p) for v, p in g.external_edges)
+    return FeynmanGraph(tuple(new_ids), tuple(edges), legs)
+
+
+def test_canonical_key_past_twelve_edges_is_relabeling_invariant():
+    """W7, W8 (14, 16 edges) and L5 (13 edges) key within the work bound,
+    and their keys survive seeded vertex relabelings and edge-id shuffles."""
+    rng = random.Random(1301)
+    graphs = [wheel_graph(7), wheel_graph(8), ladder_graph(5)]
+    keys = [canonical_key(g) for g in graphs]
+    assert len(set(keys)) == 3
+    for g, key in zip(graphs, keys):
+        for _ in range(5):
+            assert canonical_key(_relabeled(g, rng)) == key
+
+
+def _two_legs(g, rng):
+    """g with legs p and -p on two random vertices."""
+    a, b = rng.sample(g.vertices, 2)
+    return FeynmanGraph(
+        g.vertices, g.internal_edges, ((a, P1), (b, tuple(-q for q in P1)))
+    )
+
+
+def _random_1pi(rng, n_vertices, n_edges):
+    while True:
+        edges = [(v, rng.randrange(v)) for v in range(1, n_vertices)]
+        edges += [
+            (rng.randrange(n_vertices), rng.randrange(n_vertices))
+            for _ in range(n_edges - n_vertices + 1)
+        ]
+        g = FeynmanGraph(
+            tuple(range(n_vertices)),
+            tuple((f"e{i}", t, h) for i, (t, h) in enumerate(edges)),
+        )
+        if is_1pi(g):
+            return _two_legs(g, rng)
+
+
+def _swapped(g, rng):
+    """g after one degree-preserving swap of two edge ends, often not
+    isomorphic to g."""
+    edges = list(g.internal_edges)
+    i, j = rng.sample(range(len(edges)), 2)
+    (ei, ti, hi), (ej, tj, hj) = edges[i], edges[j]
+    edges[i], edges[j] = (ei, ti, hj), (ej, tj, hi)
+    return FeynmanGraph(g.vertices, tuple(edges), g.external_edges)
+
+
+def test_canonical_key_matches_networkx_isomorphism_past_twelve_edges():
+    """Seeded random 1PI pairs with 13-16 edges and two legs (the same graph,
+    one with two edge ends swapped, or one with its legs moved): equal keys
+    exactly when networkx finds a leg-count-preserving isomorphism."""
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        m = nx.MultiGraph()
+        ext = g.external_multiplicity()
+        m.add_nodes_from((v, {"legs": ext[v]}) for v in g.vertices)
+        m.add_edges_from(pairs(g))
+        return m
+
+    def same_legs(a, b):
+        return a["legs"] == b["legs"]
+
+    rng = random.Random(9912092)
+    outcomes = []
+    for _ in range(40):
+        g = _random_1pi(rng, rng.randint(5, 7), rng.randint(13, 16))
+        h = rng.choice([g, _swapped(g, rng), _two_legs(g, rng)])
+        if not is_1pi(h):
+            continue
+        h = _relabeled(h, rng)
+        same = nx.is_isomorphic(to_nx(g), to_nx(h), node_match=same_legs)
+        assert (canonical_key(g) == canonical_key(h)) == same
+        outcomes.append(same)
+    assert len(outcomes) > 30 and any(outcomes) and not all(outcomes)
 
 
 def test_divergence_predicate_override(gamma2, sunset):

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from conftest import banana4_graph, bubble_graph, sunset_graph, tadpole_graph, triangle_graph
 from rbren import (
+    FeynmanGraph,
     GeneratorRegistry,
     HopfElement,
     PreconditionError,
@@ -162,15 +163,15 @@ def test_grading_is_respected(library_registry):
             assert reg.degree(a) + reg.degree(b) == d
 
 
-def test_edge_grading_flag():
-    reg = GeneratorRegistry(dim=4, grading="edges")
-    from conftest import bubble_graph
-
-    reg.register("B", bubble_graph())
-    assert reg.degree("B") == 2
-    loops = GeneratorRegistry(dim=4)
-    loops.register("B", bubble_graph())
-    assert loops.degree("B") == 1
+def test_generator_without_internal_edge_is_refused():
+    """A degree-0 generator would make the algebra not connected; the 1PI
+    check keeps its own message and comes first."""
+    reg = GeneratorRegistry(dim=4)
+    with pytest.raises(PreconditionError, match="'pt' has no internal edge"):
+        reg.register("pt", FeynmanGraph(("v",), ()))
+    with pytest.raises(PreconditionError, match="'two' is not 1PI"):
+        reg.register("two", FeynmanGraph(("v", "w"), ()))
+    assert reg.names() == ()
 
 
 def test_even_only_registry_rejects_odd_generators():

@@ -6,7 +6,6 @@ operator laws over all five algebra kinds.
 """
 
 import argparse
-import random
 import sys
 import time
 from pathlib import Path
@@ -14,7 +13,7 @@ from pathlib import Path
 # run from a checkout without installing the package
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from rbren import SWEEP_DESCRIPTORS, failed_laws, rb_defect
+from rbren import SWEEP_DESCRIPTORS, sweep
 
 
 def main():
@@ -27,17 +26,8 @@ def main():
     kinds = args.kind or sorted(SWEEP_DESCRIPTORS)
     print(f"{'kind':<18} {'pairs':>6} {'rb fails':>9} {'law fails':>10} {'secs':>6}")
     for kind in kinds:
-        desc = SWEEP_DESCRIPTORS[kind]
-        rng = random.Random(args.seed)
-        rb_failures = 0
-        law_failures = 0
         started = time.time()
-        for _ in range(args.pairs):
-            x = desc.random_element(rng)
-            y = desc.random_element(rng)
-            if not desc.is_zero(rb_defect(desc, x, y)):
-                rb_failures += 1
-            law_failures += len(failed_laws(desc, x, y))
+        rb_failures, law_failures = sweep(SWEEP_DESCRIPTORS[kind], args.pairs, args.seed)
         elapsed = time.time() - started
         print(
             f"{kind:<18} {args.pairs:>6} {rb_failures:>9} {law_failures:>10}"

@@ -89,6 +89,7 @@ from .rota_baxter import (
     operator_defect,
     rb_defect,
     residue,
+    sweep,
 )
 from .symanzik import (
     EtaFormSpec,

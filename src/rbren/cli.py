@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -56,7 +55,7 @@ from .motives import (
     projective_class,
     sigma_arrangement,
 )
-from .rota_baxter import SWEEP_DESCRIPTORS, iterated_residue, rb_defect
+from .rota_baxter import SWEEP_DESCRIPTORS, iterated_residue, rb_defect, sweep
 from .symanzik import (
     _matrix_det,
     eta_form,
@@ -79,19 +78,18 @@ def _sorted_ids(ids):
 
 
 def _load_registry(args) -> GeneratorRegistry:
-    if getattr(args, "library", None):
-        lib = serde.read_json(args.library)
-        reg = GeneratorRegistry(
-            dim=int(lib.get("dim", getattr(args, "dim", 4))),
-            even_only=bool(lib.get("even_only", getattr(args, "even_only", False))),
-        )
-        for name, graph_data in sorted(lib.get("graphs", {}).items()):
-            reg.register(name, serde.load_graph(graph_data))
-        return reg
-    return GeneratorRegistry(
-        dim=getattr(args, "dim", 4),
-        even_only=bool(getattr(args, "even_only", False)),
+    """A registry for the command: each setting comes from its flag, then
+    from the library, then from the default (dim 4, not even-only)."""
+    lib = serde.read_json(args.library) if getattr(args, "library", None) else {}
+    dim = getattr(args, "dim", None)
+    even_only = getattr(args, "even_only", None)
+    reg = GeneratorRegistry(
+        dim=int(lib.get("dim", 4)) if dim is None else dim,
+        even_only=bool(lib.get("even_only", False)) if even_only is None else even_only,
     )
+    for name, graph_data in sorted(lib.get("graphs", {}).items()):
+        reg.register(name, serde.load_graph(graph_data))
+    return reg
 
 
 def _register_graph_arg(reg: GeneratorRegistry, args) -> str:
@@ -266,13 +264,7 @@ def _cmd_rb(args) -> Any:
         desc = SWEEP_DESCRIPTORS.get(args.kind)
         if desc is None:
             raise PreconditionError(f"unknown algebra kind {args.kind!r}")
-        rng = random.Random(args.seed)
-        failures = 0
-        for _ in range(args.pairs):
-            x = desc.random_element(rng)
-            y = desc.random_element(rng)
-            if not desc.is_zero(rb_defect(desc, x, y)):
-                failures += 1
+        failures, _ = sweep(desc, args.pairs, args.seed)
         return {
             "kind": args.kind,
             "pairs": args.pairs,
@@ -328,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = h_sub.add_parser(name)
         p.add_argument("--graph", required=True)
         p.add_argument("--library")
-        p.add_argument("--dim", type=int, default=4)
-        p.add_argument("--even-only", action="store_true")
+        # None: the library's value, else the registry default
+        p.add_argument("--dim", type=int)
+        p.add_argument("--even-only", action="store_true", default=None)
         if name == "reduced":
             p.add_argument("-n", type=int, default=1)
 
@@ -412,7 +405,9 @@ def run(argv: list[str]) -> CommandResult:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        return CommandResult(int(exc.code or 0), {"error": {"code": "usage"}})
+        # --help exits 0 after printing the help text: no payload follows
+        status = int(exc.code or 0)
+        return CommandResult(status, {"error": {"code": "usage"}} if status else None)
     try:
         return CommandResult(0, _DISPATCH[args.group](args))
     except RbrenError as exc:
@@ -429,7 +424,8 @@ def run(argv: list[str]) -> CommandResult:
 
 def main(argv: list[str] | None = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
-    print(json.dumps(result.payload, sort_keys=True))
+    if result.payload is not None:
+        print(json.dumps(result.payload, sort_keys=True))
     return result.status
 
 

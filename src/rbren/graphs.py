@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import (
     ContextError,
@@ -417,10 +418,7 @@ def superficial_degree(g: FeynmanGraph, dim: int) -> int:
 
 
 def divergent_subgraphs(
-    g: FeynmanGraph,
-    dim: int,
-    even_only: bool = False,
-    degree_fn: Callable[[FeynmanGraph, int], int] | None = None,
+    g: FeynmanGraph, dim: int, even_only: bool = False
 ) -> list[SubgraphSpec]:
     """Proper non-empty edge subsets whose components are all divergent and
     1PI and whose contraction is again 1PI (respecting the valence set when
@@ -430,13 +428,12 @@ def divergent_subgraphs(
     so only those sets are visited: the union closure of the graph's circuits
     (self-loops, parallel pairs and simple cycles) as edge bitmasks, whose
     components are bridgeless by construction.  Each candidate costs
-    near-linear integer work: union-find for its components, then one
-    lowlink search and a valence count on the contracted multigraph.
-    ``degree_fn`` sees the ``subgraph_view`` of each distinct component of a
-    surviving candidate, once per call.  The total is O(U * (C + |E|)) for U
-    unions of C circuits, where a subset scan costs 2^|E| tests.
+    near-linear integer work: union-find for its components, the superficial
+    degree dim * (E_c - V_c + 1) - 2 * E_c >= 0 of each component from its
+    edge and vertex counts, then one lowlink search and a valence count on
+    the contracted multigraph.  The total is O(U * (C + |E|)) for U unions
+    of C circuits, where a subset scan costs 2^|E| tests.
     """
-    degree_fn = degree_fn or superficial_degree
     ids = g.edge_ids()
     ends = _edge_ends(g)
     n = len(g.vertices)
@@ -445,14 +442,6 @@ def divergent_subgraphs(
     def spec_of(members: tuple[int, ...]) -> SubgraphSpec:
         verts = {g.vertices[v] for i in members for v in ends[i]}
         return SubgraphSpec(frozenset(ids[i] for i in members), frozenset(verts))
-
-    divergent: dict[tuple[int, ...], bool] = {}  # component -> degree >= 0
-
-    def is_divergent(members: tuple[int, ...]) -> bool:
-        if members not in divergent:
-            view = subgraph_view(g, spec_of(members))
-            divergent[members] = degree_fn(view, dim) >= 0
-        return divergent[members]
 
     found = []
     for mask in _circuit_unions(n, ends):
@@ -464,6 +453,11 @@ def divergent_subgraphs(
             a, b = ends[i]
             root[_find(root, a)] = _find(root, b)
         root = [_find(root, v) for v in range(n)]
+        # each component's edges and vertices, keyed by its root
+        edges = Counter(root[ends[i][0]] for i in members)
+        verts = Counter(root)
+        if any(dim * (e - verts[r] + 1) < 2 * e for r, e in edges.items()):
+            continue
         # the contraction: one vertex per root
         label = {r: k for k, r in enumerate(dict.fromkeys(root))}
         rest = [
@@ -482,12 +476,7 @@ def divergent_subgraphs(
                 valence[b] += 1
             if not all(val in g.valences for val in valence):
                 continue
-        components: dict[int, tuple[int, ...]] = {}
-        for i in members:
-            r = root[ends[i][0]]
-            components[r] = components.get(r, ()) + (i,)
-        if all(is_divergent(c) for c in components.values()):
-            found.append(members)
+        found.append(members)
     specs = [spec_of(members) for members in found]
     return sorted(specs, key=lambda s: (len(s.edges), _id_order(s.edges)))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Mapping
+from typing import Mapping
 
 from ._terms import Terms
 from .errors import PreconditionError, UnknownGeneratorError
@@ -150,26 +150,21 @@ class TensorElement(Terms):
 class GeneratorRegistry:
     """Named 1PI graph generators with canonical-key identification.
 
-    ``dim`` is the spacetime dimension used for power counting, and
+    ``dim`` is the spacetime dimension of the power counting: a coproduct
+    subgraph's components each have dim * loops - 2 * edges >= 0.
     ``even_only`` restricts generators and coproduct subgraphs to an even
-    number of internal edges.  A custom divergence degree can be supplied via
-    ``degree_fn``.  The algebra is graded by loop number and connected: every
-    generator has an internal edge, so, being 1PI, at least one loop.
+    number of internal edges.  The algebra is graded by loop number and
+    connected: every generator has an internal edge, so, being 1PI, at least
+    one loop.
 
     Sub- and quotient graphs the coproduct encounters are auto-registered
     under reserved names ``!g1, !g2, ...``; registering an isomorphic graph
     explicitly afterwards promotes the explicit name.
     """
 
-    def __init__(
-        self,
-        dim: int = 4,
-        even_only: bool = False,
-        degree_fn: Callable[[FeynmanGraph, int], int] | None = None,
-    ):
+    def __init__(self, dim: int = 4, even_only: bool = False):
         self.dim = dim
         self.even_only = even_only
-        self.degree_fn = degree_fn
         self._graphs: dict[str, FeynmanGraph] = {}
         self._primary: dict[bytes, str] = {}
         self._aliases: dict[str, str] = {}
@@ -252,9 +247,7 @@ class GeneratorRegistry:
             ((name,), ()): Fraction(1),
             ((), (name,)): Fraction(1),
         }
-        for spec in divergent_subgraphs(
-            g, self.dim, even_only=self.even_only, degree_fn=self.degree_fn
-        ):
+        for spec in divergent_subgraphs(g, self.dim, even_only=self.even_only):
             left = tuple(
                 sorted(
                     self.resolve(subgraph_view(g, comp))

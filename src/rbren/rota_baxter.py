@@ -490,6 +490,20 @@ def failed_laws(desc: RBAlgebraDescriptor, x, y) -> list[str]:
     ]
 
 
+def sweep(desc: RBAlgebraDescriptor, pairs: int, seed: int) -> tuple[int, int]:
+    """Seeded random pairs of even elements: the number of pairs with a
+    nonzero ``rb_defect`` and the number of ``failed_laws`` over all pairs."""
+    rng = random.Random(seed)
+    rb_failures = law_failures = 0
+    for _ in range(pairs):
+        x = desc.random_element(rng)
+        y = desc.random_element(rng)
+        if not desc.is_zero(rb_defect(desc, x, y)):
+            rb_failures += 1
+        law_failures += len(failed_laws(desc, x, y))
+    return rb_failures, law_failures
+
+
 # -- defects and residues ----------------------------------------------------------
 
 

@@ -166,33 +166,23 @@ def brute_second_symanzik(g):
     return MultiPoly(tuple(f"t{i + 1}" for i in range(len(ids))), terms)
 
 
-def spec_is_divergent(g, spec, dim: int, degree_fn=None) -> bool:
+def spec_is_divergent(g, spec, dim: int) -> bool:
     """The per-spec predicates of a coproduct subgraph, by brute force: every
     component is 2-edge-connected and divergent, and the contraction of the
     components is 2-edge-connected with its valences in the graph's valence
     set (when it declares one).
 
-    The default degree is counted here from the component's edges and
-    vertices; a custom ``degree_fn`` is handed the library's
-    ``subgraph_view`` of each component, the graph it is specified on."""
+    The degree is counted here from each component's edges and vertices."""
     sub = [(eid, t, h) for eid, t, h in g.internal_edges if eid in spec.edges]
     comps = [
         (comp, [e for e in sub if e[1] in comp])
         for comp in components(spec.vertices, [(t, h) for _, t, h in sub])
     ]
-    if degree_fn is None:
-        # dim * loops - 2 * edges, checked first because it is cheap
-        if any(dim * (len(es) - len(c) + 1) - 2 * len(es) < 0 for c, es in comps):
-            return False
+    # dim * loops - 2 * edges, checked first because it is cheap
+    if any(dim * (len(es) - len(c) + 1) - 2 * len(es) < 0 for c, es in comps):
+        return False
     if not all(is_two_edge_connected(c, [(t, h) for _, t, h in es]) for c, es in comps):
         return False
-    if degree_fn is not None:
-        from rbren import SubgraphSpec, subgraph_view
-
-        for c, es in comps:
-            view = subgraph_view(g, SubgraphSpec(frozenset(e[0] for e in es), frozenset(c)))
-            if degree_fn(view, dim) < 0:
-                return False
     # contract each component to one vertex
     mapping = {v: v for v in g.vertices}
     for k, (comp, _) in enumerate(comps):
@@ -214,7 +204,7 @@ def spec_is_divergent(g, spec, dim: int, degree_fn=None) -> bool:
     return True
 
 
-def brute_divergent_subgraphs(g, dim: int, even_only: bool = False, degree_fn=None):
+def brute_divergent_subgraphs(g, dim: int, even_only: bool = False):
     """The 2^|E| subset scan: every proper non-empty edge subset (of even size
     under ``even_only``) that passes ``spec_is_divergent``, sorted by size and
     then by edge ids."""
@@ -227,7 +217,7 @@ def brute_divergent_subgraphs(g, dim: int, even_only: bool = False, degree_fn=No
             continue
         for combo in itertools.combinations(ids, size):
             spec = SubgraphSpec.from_edges(g, combo)
-            if spec_is_divergent(g, spec, dim, degree_fn):
+            if spec_is_divergent(g, spec, dim):
                 found.append(spec)
     return sorted(found, key=lambda s: (len(s.edges), _id_order(s.edges)))
 

@@ -296,9 +296,40 @@ def test_hopf_coproduct_honours_dim_zero(sunset_file):
     assert "3*[!g2 (x) !g3]" in at_four.payload["pretty"]
 
 
-def test_usage_error_exit_code():
+def test_flags_take_precedence_over_the_library(sunset_file, tmp_path):
+    """Each registry setting comes from its flag, then the library, then the
+    default (dim 4, not even-only)."""
+    primitive = "1*[1 (x) !g1] + 1*[!g1 (x) 1]"
+    lib = tmp_path / "lib.json"
+    argv = ["hopf", "coproduct", "--graph", sunset_file, "--library", str(lib)]
+    lib.write_text(json.dumps({"dim": 4, "even_only": False, "graphs": {}}))
+    assert run(argv + ["--dim", "0"]).payload["pretty"] == primitive
+    assert "3*[!g2 (x) !g3]" in run(argv).payload["pretty"]
+    # the sunset has three edges, so an even-only registry refuses it
+    refused = run(argv + ["--even-only"])
+    assert refused.status == 1
+    assert refused.payload["error"]["code"] == "precondition"
+    lib.write_text(json.dumps({"dim": 0, "graphs": {}}))
+    assert run(argv).payload["pretty"] == primitive
+    assert "3*[!g2 (x) !g3]" in run(argv + ["--dim", "4"]).payload["pretty"]
+    lib.write_text(json.dumps({"even_only": True, "graphs": {}}))
+    assert run(argv).status == 1
+
+
+def test_usage_error_exit_code(capsys):
     assert run(["frobnicate"]).status == 2
     assert run([]).status == 2
+    assert main(["rb", "sweep", "--pairs", "x"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": {"code": "usage"}}
+
+
+def test_help_prints_no_payload(capsys):
+    assert run(["rb", "sweep", "--help"]).payload is None
+    capsys.readouterr()
+    assert main(["rb", "sweep", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: rbren rb sweep")
+    assert "error" not in out
 
 
 def test_eta_cli(sunset_file):

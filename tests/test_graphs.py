@@ -116,9 +116,12 @@ def test_superficial_degree(bubble, sunset, triangle):
     assert superficial_degree(triangle, 4) == -2
 
 
-def test_divergent_subgraphs_bubble_and_triangle(bubble, triangle):
+def test_divergent_subgraphs_bubble_and_triangle(bubble, triangle, sunset):
     assert divergent_subgraphs(bubble, 4) == []
     assert divergent_subgraphs(triangle, 4) == []
+    # the sunset's sub-bubbles have degree -2 at dim 2 and 0 at dim 4
+    assert divergent_subgraphs(sunset, 2) == []
+    assert [len(s.edges) for s in divergent_subgraphs(sunset, 4)] == [2, 2, 2]
 
 
 def test_divergent_subgraphs_gamma2(gamma2):
@@ -346,11 +349,6 @@ def test_edge_connectivity_matches_networkx_stoer_wagner():
     assert is_1pi(one_vertex)
 
 
-def leg_degree(view, dim):
-    """A custom power counting read off the view's legs."""
-    return dim - len(view.external_edges)
-
-
 def with_legs(g, valences=None):
     first, last = g.vertices[0], g.vertices[-1]
     legs = ((first, (F(1),)), (last, (F(-1),)))
@@ -360,7 +358,7 @@ def with_legs(g, valences=None):
 def test_divergent_subgraphs_match_subset_scan_exhaustively():
     """Every connected multigraph with <= 5 edges and <= 4 vertices, with and
     without legs, in dims 2/4/6 under both even_only values, plus a valence
-    set and a custom degree function: equal lists, order included."""
+    set: equal lists, order included."""
     checked = 0
     for g in connected_multigraphs(4, 5):
         checked += 1
@@ -376,9 +374,6 @@ def test_divergent_subgraphs_match_subset_scan_exhaustively():
             assert divergent_subgraphs(
                 restricted, 4, even_only
             ) == oracles.brute_divergent_subgraphs(restricted, 4, even_only)
-            assert divergent_subgraphs(
-                legged, 4, even_only, leg_degree
-            ) == oracles.brute_divergent_subgraphs(legged, 4, even_only, leg_degree)
     assert checked == 953
 
 
@@ -503,14 +498,3 @@ def test_canonical_key_matches_networkx_isomorphism_past_twelve_edges():
         assert (canonical_key(g) == canonical_key(h)) == same
         outcomes.append(same)
     assert len(outcomes) > 30 and any(outcomes) and not all(outcomes)
-
-
-def test_divergence_predicate_override(gamma2, sunset):
-    # a custom power counting that declares everything convergent
-    none = divergent_subgraphs(gamma2, 4, degree_fn=lambda g, d: -1)
-    assert none == []
-    # at dim 2 the sub-bubbles are convergent by default counting but an
-    # override can admit them
-    assert divergent_subgraphs(sunset, 2) == []
-    permissive = divergent_subgraphs(sunset, 2, degree_fn=lambda g, d: 0)
-    assert len(permissive) == 3

@@ -3,7 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from conftest import banana4_graph, bubble_graph, sunset_graph, tadpole_graph, triangle_graph
+from conftest import (
+    banana4_graph,
+    bubble_graph,
+    gamma2_graph,
+    sunset_graph,
+    tadpole_graph,
+    triangle_graph,
+)
 from rbren import (
     FeynmanGraph,
     GeneratorRegistry,
@@ -63,6 +70,10 @@ def test_reduced_coproduct_values(library_registry):
     assert reduced_coproduct(H.mono(("B", "B")), library_registry) == tensor(
         (("B",), ("B",), 2)
     )
+    # at dim 2 the bubbles of Gamma2 are convergent, so it is primitive
+    reg = GeneratorRegistry(dim=2)
+    reg.register("Gamma2", gamma2_graph())
+    assert reduced_coproduct(H.gen("Gamma2"), reg).is_zero()
 
 
 def test_reduced_coproduct_gamma3_chain(library_registry):
@@ -243,11 +254,3 @@ def test_hopf_axioms_on_degree_four_generator():
     assert total == HopfElement.unit(0)
     assert reduced_coproduct_iterated(x, 4, reg).is_zero()
     assert not reduced_coproduct_iterated(x, 3, reg).is_zero()
-
-
-def test_registry_degree_fn_override():
-    from conftest import gamma2_graph
-
-    reg = GeneratorRegistry(dim=4, degree_fn=lambda g, d: -1)
-    reg.register("Gamma2", gamma2_graph())
-    assert reduced_coproduct(H.gen("Gamma2"), reg).is_zero()

@@ -77,25 +77,40 @@ def _sorted_ids(ids):
     return sorted((str(i) for i in ids))
 
 
+_JSON_TYPES = {dict: "an object", int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def _typed(value, kind: type, field: str):
+    """value, if its JSON type is kind (a boolean is no integer); otherwise a
+    bad-input error that names the field."""
+    if type(value) is not kind:
+        raise TypeError(f"{field} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
 def _load_registry(args) -> GeneratorRegistry:
     """A registry for the command: each setting comes from its flag, then
     from the library, then from the default (dim 4, not even-only)."""
     lib = serde.read_json(args.library) if getattr(args, "library", None) else {}
+    _typed(lib, dict, "the library")
+    lib_dim = _typed(lib.get("dim", 4), int, 'the library\'s "dim"')
+    lib_even = _typed(lib.get("even_only", False), bool, 'the library\'s "even_only"')
+    graphs = _typed(lib.get("graphs", {}), dict, 'the library\'s "graphs"')
     dim = getattr(args, "dim", None)
     even_only = getattr(args, "even_only", None)
     reg = GeneratorRegistry(
-        dim=int(lib.get("dim", 4)) if dim is None else dim,
-        even_only=bool(lib.get("even_only", False)) if even_only is None else even_only,
+        dim=lib_dim if dim is None else dim,
+        even_only=lib_even if even_only is None else even_only,
     )
-    for name, graph_data in sorted(lib.get("graphs", {}).items()):
-        reg.register(name, serde.load_graph(graph_data))
+    for name, data in sorted(graphs.items()):
+        reg.register(name, serde.load_graph(_typed(data, dict, f"graph {name!r}")))
     return reg
 
 
 def _register_graph_arg(reg: GeneratorRegistry, args) -> str:
-    data = serde.read_json(args.graph)
+    data = _typed(serde.read_json(args.graph), dict, "the --graph file")
     g = serde.load_graph(data)
-    name = data.get("name")
+    name = _typed(data.get("name", ""), str, 'the graph\'s "name"')
     if name:
         return reg.register(name, g)
     return reg.resolve(g)

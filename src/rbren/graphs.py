@@ -103,14 +103,6 @@ class FeynmanGraph:
             counts[v] += 1
         return counts
 
-    def vertex_valences(self) -> dict[VertexId, int]:
-        """Internal degree (self-loops count twice) plus external legs."""
-        val = self.external_multiplicity()
-        for _, tail, head in self.internal_edges:
-            val[tail] += 1
-            val[head] += 1
-        return val
-
     def momentum_dim(self) -> int | None:
         return len(self.external_edges[0][1]) if self.external_edges else None
 
@@ -126,15 +118,25 @@ def _find(parent, v):
     return v
 
 
+def _union_find(n: int, ends) -> tuple[list[int], list[int]]:
+    """Join the vertices 0..n-1 by the edges ``ends`` (pairs of vertex
+    indices), in order: the root of each vertex, and the indices of the
+    edges that joined two trees, which form a spanning forest."""
+    parent = list(range(n))
+    joined = []
+    for i, (a, b) in enumerate(ends):
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+            joined.append(i)
+    return [_find(parent, v) for v in range(n)], joined
+
+
 def connected_components(g: FeynmanGraph) -> list[frozenset[VertexId]]:
-    parent = {v: v for v in g.vertices}
-    for _, tail, head in g.internal_edges:
-        a, b = _find(parent, tail), _find(parent, head)
-        if a != b:
-            parent[a] = b
-    groups: dict[VertexId, set[VertexId]] = {}
-    for v in g.vertices:
-        groups.setdefault(_find(parent, v), set()).add(v)
+    root, _ = _union_find(len(g.vertices), _edge_ends(g))
+    groups: dict[int, set[VertexId]] = {}
+    for v, r in zip(g.vertices, root):
+        groups.setdefault(r, set()).add(v)
     return [frozenset(s) for s in groups.values()]
 
 
@@ -381,12 +383,22 @@ def subgraph_view(g: FeynmanGraph, spec: SubgraphSpec) -> FeynmanGraph:
 
 
 def subgraph_components(g: FeynmanGraph, spec: SubgraphSpec) -> list[SubgraphSpec]:
-    view = subgraph_view(g, spec)
-    comps = connected_components(view)
-    out = []
-    for comp in comps:
-        edges = frozenset(e[0] for e in view.internal_edges if e[1] in comp)
-        out.append(SubgraphSpec(edges, comp))
+    """The connected components of the subgraph, ordered by vertex ids; a
+    vertex of spec that none of its edges touches is a component alone."""
+    verts = tuple(spec.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    members = [e for e in g.internal_edges if e[0] in spec.edges]
+    for eid, tail, head in members:
+        if tail not in index or head not in index:
+            raise ContextError(f"edge {eid!r} has unknown endpoint")
+    root, _ = _union_find(len(verts), [(index[t], index[h]) for _, t, h in members])
+    # (edge ids, vertex ids) of each component, keyed by its root
+    comps: dict[int, tuple[set, set]] = {r: (set(), set()) for r in root}
+    for v, r in zip(verts, root):
+        comps[r][1].add(v)
+    for eid, tail, _ in members:
+        comps[root[index[tail]]][0].add(eid)
+    out = [SubgraphSpec(frozenset(e), frozenset(v)) for e, v in comps.values()]
     return sorted(out, key=lambda s: _id_order(s.vertices))
 
 
@@ -448,11 +460,7 @@ def divergent_subgraphs(
         members = tuple(i for i in range(len(ids)) if mask >> i & 1)
         if len(members) == len(ids) or (even_only and len(members) % 2):
             continue
-        root = list(range(n))
-        for i in members:
-            a, b = ends[i]
-            root[_find(root, a)] = _find(root, b)
-        root = [_find(root, v) for v in range(n)]
+        root, _ = _union_find(n, [ends[i] for i in members])
         # each component's edges and vertices, keyed by its root
         edges = Counter(root[ends[i][0]] for i in members)
         verts = Counter(root)
@@ -523,19 +531,12 @@ def cycle_basis_matrix(g: FeynmanGraph) -> list[list[int]]:
     cycle of the k-th non-tree edge (in declared edge order).  Entries are
     +1, -1, 0 according to how the edge is traversed in the loop.
     """
-    if not is_connected(g):
+    _, joined = _union_find(len(g.vertices), _edge_ends(g))
+    if len(joined) < len(g.vertices) - 1:
         raise DisconnectedError("cycle basis needs a connected graph")
-    parent = {v: v for v in g.vertices}
-    tree = []
-    chords = []
-    for e in g.internal_edges:
-        _, tail, head = e
-        a, b = _find(parent, tail), _find(parent, head)
-        if a != b:
-            parent[a] = b
-            tree.append(e)
-        else:
-            chords.append(e)
+    in_tree = set(joined)
+    tree = [g.internal_edges[i] for i in joined]
+    chords = [e for i, e in enumerate(g.internal_edges) if i not in in_tree]
 
     adjacency: dict[VertexId, list[tuple[VertexId, EdgeId, int]]] = {
         v: [] for v in g.vertices
@@ -593,16 +594,9 @@ def canonical_key(g: FeynmanGraph) -> bytes:
         degree[tail] += 1
         degree[head] += 1
     # refine permutation classes by invariants; only ext counts enter the key
-    order = sorted(g.vertices, key=lambda v: (ext[v], degree[v], 0))
-    classes: list[list[VertexId]] = []
-    for v in order:
-        if classes and (ext[classes[-1][0]], degree[classes[-1][0]]) == (
-            ext[v],
-            degree[v],
-        ):
-            classes[-1].append(v)
-        else:
-            classes.append([v])
+    invariant = {v: (ext[v], degree[v]) for v in g.vertices}
+    order = sorted(g.vertices, key=invariant.__getitem__)
+    classes = [list(c) for _, c in itertools.groupby(order, invariant.__getitem__)]
     work = max(len(g.internal_edges), 1)
     for cls in classes:
         work *= math.factorial(len(cls))

@@ -362,11 +362,6 @@ class RBAlgebraDescriptor:
     def has_simple_T(self) -> bool:
         return self._algebra.simple_T
 
-    @property
-    def algebra_class(self) -> type:
-        """The class that does this kind's arithmetic."""
-        return type(self._algebra)
-
     def dist_vars(self) -> tuple[str, ...]:
         return self._algebra.dist_vars
 

@@ -17,15 +17,7 @@ from .graphs import FeynmanGraph
 from .hopf import HopfElement, TensorElement
 from .motives import Arrangement
 from .poly import LaurentPoly, MultiPoly
-from .rota_baxter import (
-    RBAlgebraDescriptor,
-    SaitoForm,
-    _Laurent,
-    _Merom,
-    _NcLog,
-    _Saito,
-    _SmoothLog,
-)
+from .rota_baxter import RBAlgebraDescriptor, SaitoForm
 
 
 def frac_str(q: Fraction) -> str:
@@ -175,26 +167,25 @@ def _saito_contexts(x: SaitoForm) -> list:
     return [("vars", x.denom.variables)] + _exterior_contexts(x.xi) + _exterior_contexts(x.eta)
 
 
-# the element schema of each algebra class: (dump(x, desc), load(data),
-# contexts(x)); contexts lists the (field, names) pairs a loaded element carries
+# the schema of each element type, the type of desc.zero(): (dump(x, desc),
+# load(data), contexts(x)); contexts lists the (field, names) pairs a loaded
+# element carries
 _ELEMENT_SCHEMAS = {
-    _Laurent: (lambda x, desc: dump_laurent(x), load_laurent, _laurent_contexts),
-    _Merom: (dump_exterior, load_exterior, _exterior_contexts),
-    _NcLog: (dump_exterior, load_exterior, _exterior_contexts),
-    _SmoothLog: (dump_exterior, load_exterior, _exterior_contexts),
-    _Saito: (lambda x, desc: dump_saito(x), load_saito, _saito_contexts),
+    LaurentPoly: (lambda x, desc: dump_laurent(x), load_laurent, _laurent_contexts),
+    ExteriorElement: (dump_exterior, load_exterior, _exterior_contexts),
+    SaitoForm: (lambda x, desc: dump_saito(x), load_saito, _saito_contexts),
 }
 
 
 def dump_element(desc: RBAlgebraDescriptor, x) -> Any:
-    dump, _, _ = _ELEMENT_SCHEMAS[desc.algebra_class]
+    dump, _, _ = _ELEMENT_SCHEMAS[type(desc.zero())]
     return dump(x, desc)
 
 
 def load_element(desc: RBAlgebraDescriptor, data) -> Any:
     """Load an element of desc's algebra, checking its generators and
     variables against the descriptor's."""
-    _, load, contexts = _ELEMENT_SCHEMAS[desc.algebra_class]
+    _, load, contexts = _ELEMENT_SCHEMAS[type(desc.zero())]
     try:
         x = load(data)
     except KeyError as exc:
@@ -299,7 +290,7 @@ def load_character(data: dict, reg=None):
     if data.get("rule") == "pole_power":
         if reg is None:
             raise PreconditionError("the pole_power rule needs a generator registry")
-        if target.algebra_class is not _Laurent:
+        if not isinstance(target.zero(), LaurentPoly):
             raise PreconditionError("the pole_power rule targets laurent_ms")
         return pole_power_character(
             reg, c=parse_frac(data.get("c", 0)), coeff_vars=target.coeff_vars

@@ -4,9 +4,10 @@ Everything here recomputes expected values from first principles with code
 paths disjoint from the library: subset enumeration for connectivity,
 divergent subgraphs, spanning trees, cut sets and the second Symanzik
 polynomial, Laplacian minors for tree counts, exhaustive finite-field point
-counting for class polynomials.  The library calls are ``subgraph_view``,
-which builds the graph a custom degree function is specified on, and the
-``MultiPoly`` constructor, which holds the polynomial oracles' terms.
+counting for class polynomials.  The library calls are
+``SubgraphSpec.from_edges``, which names each edge subset the divergence scan
+visits, and the ``MultiPoly`` constructor, which holds the polynomial
+oracles' terms.
 """
 
 from __future__ import annotations

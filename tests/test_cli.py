@@ -316,6 +316,51 @@ def test_flags_take_precedence_over_the_library(sunset_file, tmp_path):
     assert run(argv).status == 1
 
 
+def _bad_input(result, field):
+    assert result.status == 1
+    assert result.payload["error"]["code"] == "bad-input"
+    assert field in result.payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "lib, field",
+    [([], "library"), ({"graphs": []}, '"graphs"'), ({"graphs": {"B": []}}, "'B'")],
+    ids=["library", "graphs", "graph"],
+)
+def test_library_parts_that_are_no_object_are_bad_input(sunset_file, tmp_path, lib, field):
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps(lib))
+    result = run(["hopf", "coproduct", "--graph", sunset_file, "--library", str(path)])
+    _bad_input(result, field)
+
+
+def test_library_even_only_string_is_bad_input(sunset_file, tmp_path):
+    """bool("false") is true: the string must not turn on even-only."""
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps({"even_only": "false"}))
+    result = run(["hopf", "coproduct", "--graph", sunset_file, "--library", str(path)])
+    _bad_input(result, '"even_only"')
+
+
+@pytest.mark.parametrize("dim", [4.7, True])
+def test_library_dim_must_be_an_integer(sunset_file, tmp_path, dim):
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps({"dim": dim}))
+    result = run(["hopf", "coproduct", "--graph", sunset_file, "--library", str(path)])
+    _bad_input(result, '"dim"')
+
+
+def test_graph_name_must_be_a_string(tmp_path, library_file):
+    """An int name of a graph isomorphic to a library generator used to end
+    in a traceback."""
+    data = serde.dump_graph(sunset_graph())
+    data["name"] = 5
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(data))
+    result = run(["hopf", "coproduct", "--graph", str(path), "--library", library_file])
+    _bad_input(result, '"name"')
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["frobnicate"]).status == 2
     assert run([]).status == 2

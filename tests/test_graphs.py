@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -36,6 +37,7 @@ from rbren import (
     loop_number,
     quotient,
     spanning_trees,
+    subgraph_components,
     subgraph_view,
     superficial_degree,
 )
@@ -186,6 +188,52 @@ def test_quotient_of_everything_rejected(sunset):
     spec = SubgraphSpec.from_edges(sunset, ("e1", "e2", "e3"))
     with pytest.raises(QuotientError):
         quotient(sunset, spec)
+
+
+def test_subgraph_components_match_the_oracle_exhaustively():
+    """Every proper non-empty edge subset of every connected multigraph with
+    <= 5 edges and <= 4 vertices: the components' vertex and edge sets are
+    the oracle's, ordered by least vertex id, and quotient maps each
+    component to its least vertex."""
+    checked = 0
+    for g in connected_multigraphs(4, 5):
+        ends = {eid: (tail, head) for eid, tail, head in g.internal_edges}
+        for size in range(1, len(ends)):
+            for combo in itertools.combinations(ends, size):
+                spec = SubgraphSpec.from_edges(g, combo)
+                expected = sorted(
+                    oracles.components(spec.vertices, [ends[e] for e in combo]),
+                    key=min,
+                )
+                comps = subgraph_components(g, spec)
+                assert [c.vertices for c in comps] == [frozenset(c) for c in expected]
+                assert [c.edges for c in comps] == [
+                    frozenset(e for e in combo if ends[e][0] in c) for c in expected
+                ]
+                rep = {v: v for v in g.vertices}
+                rep.update((v, min(c)) for c in expected for v in c)
+                q = quotient(g, spec)
+                assert q.vertices == tuple(sorted(set(rep.values())))
+                assert q.internal_edges == tuple(
+                    (e, rep[t], rep[h]) for e, t, h in g.internal_edges if e not in combo
+                )
+                checked += 1
+    assert checked == 24374
+
+
+def test_subgraph_components_hand_built_specs(gamma2, sunset):
+    """A vertex of the spec without an edge of it is a component alone; an
+    edge reaching outside the spec's vertices is refused."""
+    spec = SubgraphSpec(frozenset({"e1"}), frozenset({"u", "v", "w"}))
+    assert subgraph_components(gamma2, spec) == [
+        SubgraphSpec(frozenset({"e1"}), frozenset({"u", "v"})),
+        SubgraphSpec(frozenset(), frozenset({"w"})),
+    ]
+    outside = SubgraphSpec(frozenset({"e1"}), frozenset({"u"}))
+    with pytest.raises(ContextError, match="unknown endpoint"):
+        subgraph_components(sunset, outside)
+    with pytest.raises(ContextError, match="unknown endpoint"):
+        quotient(sunset, outside)
 
 
 def test_cycle_basis_triangle(triangle):

@@ -4,8 +4,8 @@ Every exact value in rbren is a sum of basis keys with nonzero coefficients:
 polynomials over exponent vectors, exterior forms over generator subsets,
 Hopf elements over monomials, tensors over words, classes over powers of L.
 ``Terms`` holds such a sum and its context and implements the linear
-operations once; each element type adds its validation, named constructors,
-queries and rendering.
+operations and the canonical form once; each element type adds its per-term
+check, named constructors, queries and rendering.
 """
 
 from __future__ import annotations
@@ -23,15 +23,35 @@ class Terms:
     coefficients in sorted key order, so equal elements are stored
     identically, plus the context fields named in ``_context``.  Elements
     combine only when their contexts agree.  A subclass (a frozen dataclass)
-    supplies only data:
+    supplies:
 
-      _context  names of the context fields, in constructor order
-      _scalars  coefficient types an element can be scaled by
-      _join     key of the product of two basis keys
+      _context        names of the context fields, in constructor order
+      _scalars        coefficient types an element can be scaled by
+      _join           key of the product of two basis keys
+      _term           check of one term: (key, coeff) -> normalized pair
+      _check_context  check of the context fields, which it stores normalized
     """
 
     _context: tuple[str, ...] = ()
     _scalars: tuple[type, ...] = ()
+
+    def __post_init__(self):
+        """Validating constructor: the context and every term pass the type's
+        checks, then equal keys are summed, zero coefficients dropped and the
+        keys sorted."""
+        self._check_context()
+        term = self._term
+        terms = {}
+        for k, c in self.terms.items():
+            k, c = term(k, c)
+            if k in terms:
+                c = terms.pop(k) + c
+            if c:
+                terms[k] = c
+        _set(self, "terms", dict(sorted(terms.items())))
+
+    def _check_context(self):
+        """Types whose context fields need no check keep them as given."""
 
     @classmethod
     def _make(cls, terms: dict, *context):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import serde
+from .serde import _typed
 from .birkhoff import (
     atkinson_closed_form,
     atkinson_solve,
@@ -75,17 +76,6 @@ class CommandResult:
 
 def _sorted_ids(ids):
     return sorted((str(i) for i in ids))
-
-
-_JSON_TYPES = {dict: "an object", int: "an integer", bool: "a boolean", str: "a string"}
-
-
-def _typed(value, kind: type, field: str):
-    """value, if its JSON type is kind (a boolean is no integer); otherwise a
-    bad-input error that names the field."""
-    if type(value) is not kind:
-        raise TypeError(f"{field} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
-    return value
 
 
 def _load_registry(args) -> GeneratorRegistry:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Iterable, Mapping
 
-from ._terms import Terms
+from ._terms import Terms, _set
 from .errors import ContextError
 from .poly import LaurentPoly, MultiPoly
 
@@ -40,28 +40,26 @@ class ExteriorElement(Terms):
     _context = ("gens",)
     _scalars = (Rational, LaurentPoly, MultiPoly)
 
-    def __post_init__(self):
+    def _check_context(self):
         gens = tuple(self.gens)
         if len(set(gens)) != len(gens):
             raise ContextError("repeated generator name")
-        ctx = None
-        fixed = {}
-        for subset, coeff in self.terms.items():
-            subset = tuple(subset)
-            if list(subset) != sorted(set(subset)):
-                raise ContextError(f"subset {subset} is not strictly sorted")
-            if subset and not (0 <= subset[0] and subset[-1] < len(gens)):
-                raise ContextError(f"subset {subset} out of range")
-            if not isinstance(coeff, LaurentPoly):
-                raise ContextError("coefficients must be LaurentPoly")
-            if ctx is None:
-                ctx = (coeff.dist, coeff.variables)
-            elif (coeff.dist, coeff.variables) != ctx:
-                raise ContextError("coefficients live in different contexts")
-            if not coeff.is_zero():
-                fixed[subset] = coeff
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "terms", dict(sorted(fixed.items())))
+        coeffs = self.terms.values()
+        if len(coeffs) > 1 and len(
+            {(c.dist, c.variables) for c in coeffs if isinstance(c, LaurentPoly)}
+        ) > 1:
+            raise ContextError("coefficients live in different contexts")
+        _set(self, "gens", gens)
+
+    def _term(self, subset, coeff):
+        subset = tuple(subset)
+        if len(subset) > 1 and list(subset) != sorted(set(subset)):
+            raise ContextError(f"subset {subset} is not strictly sorted")
+        if subset and not (0 <= subset[0] and subset[-1] < len(self.gens)):
+            raise ContextError(f"subset {subset} out of range")
+        if not isinstance(coeff, LaurentPoly):
+            raise ContextError("coefficients must be LaurentPoly")
+        return subset, coeff
 
     # -- constructors -------------------------------------------------------
 

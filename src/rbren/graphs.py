@@ -433,8 +433,9 @@ def divergent_subgraphs(
     g: FeynmanGraph, dim: int, even_only: bool = False
 ) -> list[SubgraphSpec]:
     """Proper non-empty edge subsets whose components are all divergent and
-    1PI and whose contraction is again 1PI (respecting the valence set when
-    the graph declares one), by size and then by edge ids.
+    1PI (and, under ``even_only``, each have an even number of edges) and
+    whose contraction is again 1PI (respecting the valence set when the graph
+    declares one), by size and then by edge ids.
 
     An edge set whose components are all 1PI is exactly a union of circuits,
     so only those sets are visited: the union closure of the graph's circuits
@@ -458,13 +459,16 @@ def divergent_subgraphs(
     found = []
     for mask in _circuit_unions(n, ends):
         members = tuple(i for i in range(len(ids)) if mask >> i & 1)
-        if len(members) == len(ids) or (even_only and len(members) % 2):
+        if len(members) == len(ids):
             continue
         root, _ = _union_find(n, [ends[i] for i in members])
         # each component's edges and vertices, keyed by its root
         edges = Counter(root[ends[i][0]] for i in members)
         verts = Counter(root)
-        if any(dim * (e - verts[r] + 1) < 2 * e for r, e in edges.items()):
+        if any(
+            dim * (e - verts[r] + 1) < 2 * e or (even_only and e % 2)
+            for r, e in edges.items()
+        ):
             continue
         # the contraction: one vertex per root
         label = {r: k for k, r in enumerate(dict.fromkeys(root))}

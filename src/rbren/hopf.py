@@ -49,16 +49,8 @@ class HopfElement(Terms):
     _scalars = (Rational,)
     _join = staticmethod(_merge)
 
-    def __post_init__(self):
-        fixed = {}
-        for mono, coeff in self.terms.items():
-            mono = tuple(sorted(mono))
-            coeff = Fraction(coeff)
-            if coeff:
-                fixed[mono] = fixed.get(mono, Fraction(0)) + coeff
-        object.__setattr__(
-            self, "terms", dict(sorted((m, c) for m, c in fixed.items() if c))
-        )
+    def _term(self, mono, coeff):
+        return tuple(sorted(mono)), coeff if coeff.__class__ is Fraction else Fraction(coeff)
 
     @staticmethod
     def zero() -> "HopfElement":
@@ -112,18 +104,11 @@ class TensorElement(Terms):
     _scalars = (Rational,)
     _join = staticmethod(_merge_words)
 
-    def __post_init__(self):
-        fixed = {}
-        for word, coeff in self.terms.items():
-            word = tuple(tuple(sorted(m)) for m in word)
-            if len(word) != self.legs:
-                raise PreconditionError("tensor word has wrong number of legs")
-            coeff = Fraction(coeff)
-            if coeff:
-                fixed[word] = fixed.get(word, Fraction(0)) + coeff
-        object.__setattr__(
-            self, "terms", dict(sorted((w, c) for w, c in fixed.items() if c))
-        )
+    def _term(self, word, coeff):
+        word = tuple(tuple(sorted(m)) for m in word)
+        if len(word) != self.legs:
+            raise PreconditionError("tensor word has wrong number of legs")
+        return word, coeff if coeff.__class__ is Fraction else Fraction(coeff)
 
     @staticmethod
     def zero(legs: int = 2) -> "TensorElement":
@@ -152,10 +137,10 @@ class GeneratorRegistry:
 
     ``dim`` is the spacetime dimension of the power counting: a coproduct
     subgraph's components each have dim * loops - 2 * edges >= 0.
-    ``even_only`` restricts generators and coproduct subgraphs to an even
-    number of internal edges.  The algebra is graded by loop number and
-    connected: every generator has an internal edge, so, being 1PI, at least
-    one loop.
+    ``even_only`` restricts generators, and each component of a coproduct
+    subgraph, to an even number of internal edges.  The algebra is graded by
+    loop number and connected: every generator has an internal edge, so,
+    being 1PI, at least one loop.
 
     Sub- and quotient graphs the coproduct encounters are auto-registered
     under reserved names ``!g1, !g2, ...``; registering an isomorphic graph

@@ -35,16 +35,11 @@ class LefschetzPolynomial(Terms):
     _scalars = (int,)
     _join = staticmethod(operator.add)
 
-    def __post_init__(self):
-        fixed = {}
-        for e, c in self.terms.items():
-            e = int(e)
-            c = int(c)
-            if e < 0:
-                raise PreconditionError("negative exponent in a class polynomial")
-            if c:
-                fixed[e] = c
-        object.__setattr__(self, "terms", dict(sorted(fixed.items())))
+    def _term(self, e, c):
+        e, c = int(e), int(c)
+        if e < 0:
+            raise PreconditionError("negative exponent in a class polynomial")
+        return e, c
 
     @staticmethod
     def zero() -> "LefschetzPolynomial":

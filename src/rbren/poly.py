@@ -24,7 +24,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping
 
-from ._terms import Terms
+from ._terms import Terms, _set
 from .errors import ContextError, PoleAtPointError, PreconditionError
 
 Exponents = tuple[int, ...]
@@ -48,24 +48,22 @@ class MultiPoly(Terms):
     _scalars = (Rational,)
     _join = staticmethod(_add_exps)
 
-    def __post_init__(self):
+    def _check_context(self):
         variables = tuple(self.variables)
         if len(set(variables)) != len(variables):
             raise ContextError(f"repeated variable name in {variables}")
-        fixed = {}
-        for exps, coeff in self.terms.items():
-            exps = tuple(exps)
-            if len(exps) != len(variables):
-                raise ContextError(
-                    f"exponent vector {exps} does not match variables {variables}"
-                )
-            if any(e < 0 for e in exps):
-                raise ContextError(f"negative exponent in ordinary variables: {exps}")
-            coeff = Fraction(coeff)
-            if coeff:
-                fixed[exps] = coeff
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", dict(sorted(fixed.items())))
+        _set(self, "variables", variables)
+
+    def _term(self, exps, coeff):
+        exps = tuple(exps)
+        if len(exps) != len(self.variables):
+            raise ContextError(
+                f"exponent vector {exps} does not match variables {self.variables}"
+            )
+        if exps and min(exps) < 0:
+            raise ContextError(f"negative exponent in ordinary variables: {exps}")
+        # Fraction(coeff) copies a Fraction at some cost
+        return exps, coeff if coeff.__class__ is Fraction else Fraction(coeff)
 
     # -- constructors -------------------------------------------------------
 
@@ -292,27 +290,25 @@ class LaurentPoly(Terms):
     _scalars = (Rational, MultiPoly)
     _join = staticmethod(_add_exps)
 
-    def __post_init__(self):
+    def _check_context(self):
         dist = tuple(self.dist)
         variables = tuple(self.variables)
         if set(dist) & set(variables):
             raise ContextError("distinguished and ordinary variables overlap")
-        fixed = {}
-        for exps, coeff in self.terms.items():
-            exps = tuple(exps)
-            if len(exps) != len(dist):
-                raise ContextError(
-                    f"exponent vector {exps} does not match distinguished {dist}"
-                )
-            if not isinstance(coeff, MultiPoly):
-                coeff = MultiPoly.const(variables, coeff)
-            if coeff.variables != variables:
-                raise ContextError("coefficient has wrong variable context")
-            if not coeff.is_zero():
-                fixed[exps] = coeff
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", dict(sorted(fixed.items())))
+        _set(self, "dist", dist)
+        _set(self, "variables", variables)
+
+    def _term(self, exps, coeff):
+        exps = tuple(exps)
+        if len(exps) != len(self.dist):
+            raise ContextError(
+                f"exponent vector {exps} does not match distinguished {self.dist}"
+            )
+        if not isinstance(coeff, MultiPoly):
+            coeff = MultiPoly.const(self.variables, coeff)
+        if coeff.variables != self.variables:
+            raise ContextError("coefficient has wrong variable context")
+        return exps, coeff
 
     # -- constructors -------------------------------------------------------
 

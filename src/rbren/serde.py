@@ -20,6 +20,23 @@ from .poly import LaurentPoly, MultiPoly
 from .rota_baxter import RBAlgebraDescriptor, SaitoForm
 
 
+_JSON_TYPES = {
+    dict: "an object",
+    list: "an array",
+    int: "an integer",
+    bool: "a boolean",
+    str: "a string",
+}
+
+
+def _typed(value, kind: type, field: str):
+    """value, if its JSON type is kind (a boolean is no integer); otherwise a
+    bad-input error that names the field."""
+    if type(value) is not kind:
+        raise TypeError(f"{field} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
 def frac_str(q: Fraction) -> str:
     return str(Fraction(q))
 
@@ -142,11 +159,13 @@ def dump_descriptor(desc: RBAlgebraDescriptor) -> dict:
 
 
 def load_descriptor(data: dict) -> RBAlgebraDescriptor:
+    _typed(data, dict, "the algebra")
+    coeff_vars = _typed(data.get("coeff_vars", []), list, 'the algebra\'s "coeff_vars"')
     desc = RBAlgebraDescriptor(
-        kind=data["kind"],
-        divisors=int(data.get("divisors", 0)),
-        ambient=int(data.get("ambient", 0)),
-        coeff_vars=tuple(data.get("coeff_vars", ())),
+        kind=_typed(data["kind"], str, 'the algebra\'s "kind"'),
+        divisors=_typed(data.get("divisors", 0), int, 'the algebra\'s "divisors"'),
+        ambient=_typed(data.get("ambient", 0), int, 'the algebra\'s "ambient"'),
+        coeff_vars=tuple(_typed(v, str, "a coefficient variable") for v in coeff_vars),
     )
     if parse_frac(data.get("weight", -1)) != -1:
         # every kind carries the weight -1 polar splitting
@@ -220,15 +239,31 @@ def dump_graph(g: FeynmanGraph) -> dict:
 
 
 def load_graph(data: dict) -> FeynmanGraph:
+    _typed(data, dict, "the graph")
+    edges = _typed(data["internal_edges"], list, 'the graph\'s "internal_edges"')
+    for edge in edges:
+        if type(edge) is not list or len(edge) != 3:
+            raise TypeError(
+                'an entry of the graph\'s "internal_edges" must be [id, tail, head], '
+                f"got {json.dumps(edge)}"
+            )
+    legs = _typed(data.get("external_edges", []), list, 'the graph\'s "external_edges"')
+    for leg in legs:
+        _typed(leg, dict, "an external edge")
+        _typed(leg["momentum"], list, 'an external edge\'s "momentum"')
     valences = data.get("valences")
+    if valences is not None:
+        valences = frozenset(
+            _typed(v, int, "a valence")
+            for v in _typed(valences, list, 'the graph\'s "valences"')
+        )
     return FeynmanGraph(
-        vertices=tuple(data["vertices"]),
-        internal_edges=tuple((e[0], e[1], e[2]) for e in data["internal_edges"]),
+        vertices=tuple(_typed(data["vertices"], list, 'the graph\'s "vertices"')),
+        internal_edges=tuple(tuple(e) for e in edges),
         external_edges=tuple(
-            (leg["vertex"], tuple(parse_frac(q) for q in leg["momentum"]))
-            for leg in data.get("external_edges", ())
+            (leg["vertex"], tuple(parse_frac(q) for q in leg["momentum"])) for leg in legs
         ),
-        valences=None if valences is None else frozenset(valences),
+        valences=valences,
     )
 
 
@@ -271,12 +306,17 @@ def dump_arrangement(arr: Arrangement) -> dict:
 
 
 def load_arrangement(data: dict) -> Arrangement:
+    _typed(data, dict, "the arrangement")
+    forms = _typed(data["hyperplanes"], list, 'the arrangement\'s "hyperplanes"')
     return Arrangement(
-        ambient=int(data["ambient"]),
+        ambient=_typed(data["ambient"], int, 'the arrangement\'s "ambient"'),
         hyperplanes=tuple(
-            tuple(parse_frac(c) for c in form) for form in data["hyperplanes"]
+            tuple(parse_frac(c) for c in _typed(form, list, "a hyperplane"))
+            for form in forms
         ),
-        projective=bool(data.get("projective", False)),
+        projective=_typed(
+            data.get("projective", False), bool, 'the arrangement\'s "projective"'
+        ),
     )
 
 

@@ -206,18 +206,22 @@ def spec_is_divergent(g, spec, dim: int) -> bool:
 
 
 def brute_divergent_subgraphs(g, dim: int, even_only: bool = False):
-    """The 2^|E| subset scan: every proper non-empty edge subset (of even size
-    under ``even_only``) that passes ``spec_is_divergent``, sorted by size and
-    then by edge ids."""
+    """The 2^|E| subset scan: every proper non-empty edge subset (under
+    ``even_only``, with an even number of edges in each component) that
+    passes ``spec_is_divergent``, sorted by size and then by edge ids."""
     from rbren import SubgraphSpec
 
     ids = g.edge_ids()
     found = []
     for size in range(1, len(ids)):
-        if even_only and size % 2:
-            continue
         for combo in itertools.combinations(ids, size):
             spec = SubgraphSpec.from_edges(g, combo)
+            sub = [(t, h) for eid, t, h in g.internal_edges if eid in spec.edges]
+            if even_only and any(
+                sum(t in comp for t, _ in sub) % 2
+                for comp in components(spec.vertices, sub)
+            ):
+                continue
             if spec_is_divergent(g, spec, dim):
                 found.append(spec)
     return sorted(found, key=lambda s: (len(s.edges), _id_order(s.edges)))

@@ -14,7 +14,7 @@ from conftest import (
     tadpole_graph,
     wheel_graph,
 )
-from rbren import serde
+from rbren import RBAlgebraDescriptor, serde
 from rbren.cli import main, run
 from rbren.motives import parse_class
 from rbren.poly import parse_laurent, parse_poly
@@ -359,6 +359,64 @@ def test_graph_name_must_be_a_string(tmp_path, library_file):
     path.write_text(json.dumps(data))
     result = run(["hopf", "coproduct", "--graph", str(path), "--library", library_file])
     _bad_input(result, '"name"')
+
+
+def _json_file(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["graph", "info"], ["symanzik", "psi"]])
+def test_graph_file_that_is_no_object_is_bad_input(tmp_path, argv):
+    """A list used to end in an AttributeError traceback."""
+    _bad_input(run(argv + [_json_file(tmp_path, [])]), "the graph")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # an IndexError traceback
+        ("internal_edges", [["e1", "u"]]),
+        # silently cut to three items
+        ("internal_edges", [["e1", "u", "v", "w"]]),
+        # read as the valences {"3", "4"}, which no vertex ever matches
+        ("valences", "34"),
+    ],
+    ids=["short-edge", "long-edge", "valences-string"],
+)
+def test_malformed_graph_fields_are_bad_input(tmp_path, field, value):
+    data = serde.dump_graph(sunset_graph())
+    data[field] = value
+    _bad_input(run(["graph", "info", _json_file(tmp_path, data)]), f'"{field}"')
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    # "false" used to read as projective, 2.9 as the ambient dimension 2
+    [("projective", "false"), ("ambient", 2.9)],
+)
+def test_malformed_arrangement_fields_are_bad_input(tmp_path, field, value):
+    data = {"ambient": 2, "projective": True, "hyperplanes": [["1", "0"], ["0", "1"]]}
+    assert run(["motive", "arrangement", _json_file(tmp_path, data)]).status == 0
+    data[field] = value
+    result = run(["motive", "arrangement", _json_file(tmp_path, data)])
+    _bad_input(result, f'"{field}"')
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    # each used to be coerced: to 2, to 1, to 2 and to ("a", "b")
+    [("divisors", 2.7), ("divisors", True), ("ambient", "2"), ("coeff_vars", "ab")],
+    ids=["divisors-float", "divisors-bool", "ambient-string", "coeff-vars-string"],
+)
+def test_malformed_descriptor_fields_are_bad_input(tmp_path, field, value):
+    desc = serde.dump_descriptor(RBAlgebraDescriptor.nc_log(2, 2))
+    desc[field] = value
+    algebra = _json_file(tmp_path, desc)
+    element = str(tmp_path / "element.json")
+    result = run(["rb", "t", element, "--algebra", algebra])
+    _bad_input(result, f'"{field}"')
 
 
 def test_usage_error_exit_code(capsys):

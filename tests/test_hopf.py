@@ -21,6 +21,7 @@ from rbren import (
     antipode,
     coproduct,
     counit,
+    divergent_subgraphs,
     reduced_coproduct,
     reduced_coproduct_iterated,
 )
@@ -197,6 +198,26 @@ def test_even_only_coproduct_filters_odd_subgraphs():
     got = reduced_coproduct(H.gen("banana4"), reg)
     # only the six 2-edge sub-bananas survive; the four 3-edge ones are odd
     assert sum(got.terms.values()) == 6
+
+
+def test_even_only_coproduct_skips_subgraphs_with_an_odd_component():
+    """{l1, l2} has two edges but two one-edge components, which would be odd
+    generators; only the bubble {e1, e2} is an even coproduct subgraph."""
+    g = FeynmanGraph(
+        ("u", "v"),
+        (("e1", "u", "v"), ("e2", "u", "v"), ("l1", "u", "u"), ("l2", "v", "v")),
+        (),
+    )
+    assert [sorted(s.edges) for s in divergent_subgraphs(g, 4, even_only=True)] == [
+        ["e1", "e2"]
+    ]
+    reg = GeneratorRegistry(dim=4, even_only=True)
+    reg.register("G", g)
+    got = reduced_coproduct(H.gen("G"), reg)
+    assert list(got.terms.values()) == [1]
+    ((left, right),) = got.terms
+    assert [len(reg.graph(n).internal_edges) for n in left + right] == [2, 2]
+    assert antipode(H.gen("G"), reg).terms[("G",)] == -1
 
 
 def test_unregistered_generator_errors(library_registry):

@@ -1,5 +1,6 @@
 """Canonical form of the six linear-combination element types."""
 
+import dataclasses
 import importlib.util
 from fractions import Fraction as F
 from pathlib import Path
@@ -13,6 +14,7 @@ from rbren import (
     LaurentPoly,
     LefschetzPolynomial,
     MultiPoly,
+    PreconditionError,
     TensorElement,
 )
 from rbren.poly import parse_laurent, parse_poly
@@ -97,6 +99,145 @@ def test_difference_with_itself_is_zero(case):
     for value in (x, y, x * y):
         assert (value - value).is_zero()
         assert value - value == value.zero_like()
+
+
+# per type: a key that none of the elements built from CASES holds
+SPARE_KEYS = {
+    "MultiPoly": (7, 7),
+    "LaurentPoly": (9,),
+    "ExteriorElement": (0, 1, 2),
+    "HopfElement": ("Z",),
+    "TensorElement": (("Z",), ()),
+    "LefschetzPolynomial": 20,
+}
+
+
+def _unsorted(name, key):
+    """A Hopf monomial or tensor word with each monomial reversed."""
+    if name == "HopfElement":
+        return key[::-1]
+    if name == "TensorElement":
+        return tuple(m[::-1] for m in key)
+    return key
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_constructor_gives_the_canonical_form(name):
+    """The public constructor sorts the keys, drops zero coefficients and
+    merges keys that name one basis element, whatever order it is given."""
+    x, y, _ = CASES[name]
+    spare = SPARE_KEYS[name]
+    merged = 0
+    for value in (x, y, x * y):
+        assert spare not in value.terms
+        raw = {}
+        for key, coeff in reversed(value.terms.items()):
+            twin = _unsorted(name, key)
+            if twin != key:
+                # the coefficient split over two spellings of the key
+                raw[twin], raw[key] = 1, coeff - 1
+                merged += 1
+            else:
+                raw[key] = coeff
+        raw[spare] = coeff - coeff  # a zero of the coefficients' type and context
+        rebuilt = dataclasses.replace(value, terms=raw)
+        assert rebuilt == value
+        assert list(rebuilt.terms.items()) == list(value.terms.items())
+        assert _canonical(rebuilt)
+    assert merged or name not in ("HopfElement", "TensorElement")
+
+
+def _form_with(terms):
+    return ExteriorElement(("a", "b", "d"), terms)
+
+
+# per type, a malformed input: the error type and message the constructor gives
+MALFORMED = {
+    "MultiPoly-repeated-variable": (
+        lambda: MultiPoly(("x", "x"), {}),
+        ContextError,
+        "repeated variable name in ('x', 'x')",
+    ),
+    "MultiPoly-exponent-length": (
+        lambda: MultiPoly(("x", "y"), {(1,): 1}),
+        ContextError,
+        "exponent vector (1,) does not match variables ('x', 'y')",
+    ),
+    "MultiPoly-negative-exponent": (
+        lambda: MultiPoly(("x", "y"), {(1, -1): 1}),
+        ContextError,
+        "negative exponent in ordinary variables: (1, -1)",
+    ),
+    "LaurentPoly-overlap": (
+        lambda: LaurentPoly(("z",), ("z",), {}),
+        ContextError,
+        "distinguished and ordinary variables overlap",
+    ),
+    "LaurentPoly-exponent-length": (
+        lambda: LaurentPoly(("z",), ("c",), {(1, 0): 1}),
+        ContextError,
+        "exponent vector (1, 0) does not match distinguished ('z',)",
+    ),
+    "LaurentPoly-coefficient-context": (
+        lambda: LaurentPoly(("z",), ("c",), {(1,): parse_poly("d", ("d",))}),
+        ContextError,
+        "coefficient has wrong variable context",
+    ),
+    "ExteriorElement-repeated-generator": (
+        lambda: ExteriorElement(("a", "a"), {}),
+        ContextError,
+        "repeated generator name",
+    ),
+    "ExteriorElement-unsorted-subset": (
+        lambda: _form_with({(1, 0): _laurent("c")}),
+        ContextError,
+        "subset (1, 0) is not strictly sorted",
+    ),
+    "ExteriorElement-repeated-index": (
+        lambda: _form_with({(1, 1): _laurent("c")}),
+        ContextError,
+        "subset (1, 1) is not strictly sorted",
+    ),
+    "ExteriorElement-subset-out-of-range": (
+        lambda: _form_with({(0, 3): _laurent("c")}),
+        ContextError,
+        "subset (0, 3) out of range",
+    ),
+    "ExteriorElement-coefficient-type": (
+        lambda: _form_with({(0,): 1}),
+        ContextError,
+        "coefficients must be LaurentPoly",
+    ),
+    "ExteriorElement-two-contexts": (
+        lambda: _form_with({(0,): _laurent("c"), (1,): _laurent("w", ("w",))}),
+        ContextError,
+        "coefficients live in different contexts",
+    ),
+    "ExteriorElement-two-contexts-one-zero": (
+        lambda: _form_with({(0,): _laurent("c"), (1,): _laurent("0", ("w",))}),
+        ContextError,
+        "coefficients live in different contexts",
+    ),
+    "TensorElement-legs": (
+        lambda: TensorElement(2, {(("G",),): 1}),
+        PreconditionError,
+        "tensor word has wrong number of legs",
+    ),
+    "LefschetzPolynomial-negative-exponent": (
+        lambda: LefschetzPolynomial({-1: 1}),
+        PreconditionError,
+        "negative exponent in a class polynomial",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_constructor_rejects_malformed_terms(name):
+    build, error, message = MALFORMED[name]
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", [n for n in sorted(CASES) if CASES[n][2]])

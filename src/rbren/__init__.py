@@ -73,7 +73,6 @@ from .motives import (
     char_poly,
     gl_class,
     grassmannian_class,
-    kausz_class,
     parse_class,
     pole_order_bound,
     projective_class,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import serde
-from .serde import _typed
 from .birkhoff import (
     atkinson_closed_form,
     atkinson_solve,
@@ -80,30 +79,22 @@ def _sorted_ids(ids):
 
 def _load_registry(args) -> GeneratorRegistry:
     """A registry for the command: each setting comes from its flag, then
-    from the library, then from the default (dim 4, not even-only)."""
-    lib = serde.read_json(args.library) if getattr(args, "library", None) else {}
-    _typed(lib, dict, "the library")
-    lib_dim = _typed(lib.get("dim", 4), int, 'the library\'s "dim"')
-    lib_even = _typed(lib.get("even_only", False), bool, 'the library\'s "even_only"')
-    graphs = _typed(lib.get("graphs", {}), dict, 'the library\'s "graphs"')
-    dim = getattr(args, "dim", None)
-    even_only = getattr(args, "even_only", None)
+    from the library, whose loader supplies the defaults."""
+    lib = serde.read_json(args.library) if args.library else {}
+    dim, even_only, graphs = serde.load_library(lib)
     reg = GeneratorRegistry(
-        dim=lib_dim if dim is None else dim,
-        even_only=lib_even if even_only is None else even_only,
+        dim=dim if getattr(args, "dim", None) is None else args.dim,
+        even_only=even_only if getattr(args, "even_only", None) is None else args.even_only,
     )
-    for name, data in sorted(graphs.items()):
-        reg.register(name, serde.load_graph(_typed(data, dict, f"graph {name!r}")))
+    for name, g in graphs.items():
+        reg.register(name, g)
     return reg
 
 
 def _register_graph_arg(reg: GeneratorRegistry, args) -> str:
-    data = _typed(serde.read_json(args.graph), dict, "the --graph file")
+    data = serde.read_json(args.graph)
     g = serde.load_graph(data)
-    name = _typed(data.get("name", ""), str, 'the graph\'s "name"')
-    if name:
-        return reg.register(name, g)
-    return reg.resolve(g)
+    return reg.register(data["name"], g) if data.get("name") else reg.resolve(g)
 
 
 # -- graph group ------------------------------------------------------------------

@@ -6,9 +6,10 @@ Grassmannians as box-partition sums, the blowup formula
 [Bl_Y X] = [X] + sum_{k=1}^{codim-1} [Y] L^k, characteristic polynomials of
 central hyperplane arrangements by Whitney's subset expansion, projective
 arrangement classes [P^n] - chi(L)/(L-1), the matrix-coordinate divisor
-family indexed by (l, g), a pole-order bound for the integrand pulled back
-through rank-stratum blowups, and a data-driven iterated-blowup class for
-compactifications whose centers are supplied as (base, fiber, codim) strata.
+family indexed by (l, g), and a pole-order bound for the integrand pulled
+back through rank-stratum blowups.  An iterated-blowup class, such as that of
+a GL_l compactification, is ``blowup_class`` of [P^{l^2}] with one
+``BlowupStep`` per center the caller supplies.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ._linalg import echelon_insert
 from ._terms import Terms
@@ -61,6 +62,8 @@ class LefschetzPolynomial(Terms):
     __radd__ = __add__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise PreconditionError("a class polynomial has no negative powers")
         out = LefschetzPolynomial.const(1)
         for _ in range(n):
             out = out * self
@@ -174,22 +177,6 @@ def blowup_class(
         for k in range(1, step.codim):
             out = out + step.center * LefschetzPolynomial.lefschetz(k)
     return out
-
-
-def kausz_class(
-    loops: int,
-    strata: Sequence[tuple[LefschetzPolynomial, LefschetzPolynomial, int]] = (),
-) -> LefschetzPolynomial:
-    """Iterated-blowup class of a GL_l compactification from supplied strata.
-
-    Starts at [P^{l^2}]; each stratum (base, fiber, codim) contributes a
-    blowup with center class base*fiber.  The stratification data itself is
-    an input: no center geometry is invented here.
-    """
-    if loops < 1:
-        raise PreconditionError("kausz_class needs l >= 1")
-    steps = [BlowupStep(base * fiber, codim) for base, fiber, codim in strata]
-    return blowup_class(projective_class(loops * loops), steps)
 
 
 # -- hyperplane arrangements ------------------------------------------------------

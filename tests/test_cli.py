@@ -419,6 +419,48 @@ def test_malformed_descriptor_fields_are_bad_input(tmp_path, field, value):
     _bad_input(result, f'"{field}"')
 
 
+def test_character_values_must_be_an_object(tmp_path, library_file, capsys):
+    """A list of values used to end in an AttributeError traceback."""
+    char = tmp_path / "char.json"
+    char.write_text(json.dumps({"target": {"kind": "laurent_ms"}, "values": []}))
+    argv = ["birkhoff", "factorize", "B", "--character", str(char), "--library", library_file]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "bad-input"
+    _bad_input(run(argv), '"values"')
+
+
+def test_character_c_must_be_a_rational(tmp_path, library_file):
+    """true used to be read as c = 1."""
+    char = tmp_path / "char.json"
+    char.write_text(
+        json.dumps({"target": {"kind": "laurent_ms"}, "rule": "pole_power", "c": True})
+    )
+    argv = ["birkhoff", "factorize", "B", "--character", str(char), "--library", library_file]
+    _bad_input(run(argv), 'the character\'s "c"')
+
+
+@pytest.mark.parametrize(
+    "element, field",
+    [
+        # read as c^1.5, a MultiPoly with a float exponent, and printed back
+        ({"dist": ["z"], "vars": ["c"], "terms": [[[-1], [["1", [1.5]]]]]}, '"terms"[0][1][0][1][0]'),
+        # read as z^1, so T gave 0
+        ({"dist": ["z"], "vars": ["c"], "terms": [[[True], [["1", [0]]]]]}, '"terms"[0][0][0]'),
+        # read as the coefficient 1
+        ({"dist": ["z"], "vars": ["c"], "terms": [[[-1], [[True, [0]]]]]}, '"terms"[0][1][0][0]'),
+        # read as the name list ["z"]
+        ({"dist": "z", "vars": ["c"], "terms": [[[-1], [["1", [0]]]]]}, '"dist"'),
+    ],
+    ids=["float-exponent", "bool-exponent", "bool-coefficient", "dist-string"],
+)
+def test_malformed_laurent_elements_are_bad_input(tmp_path, element, field):
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(json.dumps({"kind": "laurent_ms", "coeff_vars": ["c"]}))
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(element))
+    _bad_input(run(["rb", "t", str(path), "--algebra", str(algebra)]), field)
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["frobnicate"]).status == 2
     assert run([]).status == 2

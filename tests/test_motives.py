@@ -14,7 +14,6 @@ from rbren import (
     char_poly,
     gl_class,
     grassmannian_class,
-    kausz_class,
     parse_class,
     pole_order_bound,
     projective_class,
@@ -168,21 +167,33 @@ def test_pole_order_bound_hypothesis_violation():
 
 
 def test_kausz_class_data_driven():
-    assert kausz_class(1) == projective_class(1)
-    got = kausz_class(1, [(LefschetzPolynomial.const(1), LefschetzPolynomial.const(1), 2)])
+    """The Kausz compactification class is blowup_class of [P^{l^2}], one
+    BlowupStep per supplied stratum (base, fiber, codim)."""
+    one = LefschetzPolynomial.const(1)
+    assert blowup_class(projective_class(1 * 1), []) == projective_class(1)
+    got = blowup_class(projective_class(1 * 1), [BlowupStep(one * one, 2)])
     assert got == parse_class("2*L + 1")
 
 
 def test_kausz_class_dominates_open_part():
     # rank-stratum data for the l = 2 compactification: blow up the origin
     # (codim 4) and the projective rank-one locus P^1 x P^1 (codim 2)
-    strata = [
-        (LefschetzPolynomial.const(1), LefschetzPolynomial.const(1), 4),
-        (projective_class(1), projective_class(1), 2),
+    one = LefschetzPolynomial.const(1)
+    steps = [
+        BlowupStep(one * one, 4),
+        BlowupStep(projective_class(1) * projective_class(1), 2),
     ]
-    total = kausz_class(2, strata)
+    total = blowup_class(projective_class(2 * 2), steps)
     for q in (2, 3):
         assert total(q) >= gl_class(2)(q)
+
+
+def test_lefschetz_negative_power_is_refused():
+    """A negative exponent used to give the class 1."""
+    assert (L(1) + 1) ** 0 == LefschetzPolynomial.const(1)
+    assert (L(1) + 1) ** 2 == parse_class("L^2 + 2*L + 1")
+    with pytest.raises(PreconditionError, match="negative"):
+        (L(1) + 1) ** -1
 
 
 def test_lefschetz_parse_round_trip():

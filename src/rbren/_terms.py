@@ -16,6 +16,11 @@ from .errors import ContextError
 _set = object.__setattr__
 
 
+def _canonical(terms: dict) -> dict:
+    """The nonzero terms in sorted key order."""
+    return dict(sorted((k, c) for k, c in terms.items() if c))
+
+
 class Terms:
     """Base of the element types that are finite linear combinations.
 
@@ -54,17 +59,24 @@ class Terms:
         """Types whose context fields need no check keep them as given."""
 
     @classmethod
-    def _make(cls, terms: dict, *context):
-        """Fast constructor: keys taken as valid, zero coefficients dropped."""
+    def _make(cls, terms: dict, *context, ordered=False):
+        """Trusted constructor: keys taken as valid.  Zero coefficients are
+        dropped and the keys sorted, unless ``ordered`` says that ``terms``
+        already holds nonzero coefficients in sorted key order, as the result
+        of an operation that cannot move a key or create a zero does."""
         x = object.__new__(cls)
         for name, value in zip(cls._context, context):
             _set(x, name, value)
-        _set(x, "terms", dict(sorted((k, c) for k, c in terms.items() if c)))
+        _set(x, "terms", terms if ordered else _canonical(terms))
         return x
 
-    def _like(self, terms: dict):
-        """Fast constructor with the context of ``self``."""
-        return self._make(terms, *[getattr(self, name) for name in self._context])
+    def _like(self, terms: dict, ordered=False):
+        """Trusted constructor with the context of ``self``, as ``_make``."""
+        x = object.__new__(self.__class__)
+        for name in self._context:
+            _set(x, name, getattr(self, name))
+        _set(x, "terms", terms if ordered else _canonical(terms))
+        return x
 
     def _check(self, other):
         for name in self._context:
@@ -83,6 +95,11 @@ class Terms:
         if other.__class__ is not self.__class__:
             return NotImplemented
         self._check(other)
+        # values are immutable, so a sum with zero may share the other operand
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for k, c in other.terms.items():
             prev = out.get(k)
@@ -90,7 +107,7 @@ class Terms:
         return self._like(out)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()}, ordered=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -99,21 +116,27 @@ class Terms:
         return (-self) + other
 
     def __mul__(self, other):
-        """Scalar product, or the product of basis keys extended bilinearly."""
+        """Product of basis keys extended bilinearly, or scalar product."""
+        if other.__class__ is self.__class__:
+            self._check(other)
+            if not self.terms:
+                return self
+            if not other.terms:
+                return other
+            join = self._join
+            out = {}
+            get = out.get
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    k = join(k1, k2)
+                    prev = get(k)
+                    out[k] = c1 * c2 if prev is None else prev + c1 * c2
+            return self._like(out)
         if isinstance(other, self._scalars):
-            return self._like({k: c * other for k, c in self.terms.items()})
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        self._check(other)
-        join = self._join
-        out = {}
-        get = out.get
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = join(k1, k2)
-                prev = get(k)
-                out[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return self._like(out)
+            # coefficients form an integral domain, so only a zero scalar
+            # leaves a zero coefficient
+            return self._like({k: c * other for k, c in self.terms.items()}, ordered=bool(other))
+        return NotImplemented
 
     # a product of two elements always reaches __mul__, so only scalars get here
     __rmul__ = __mul__
@@ -128,8 +151,13 @@ class Terms:
 
     def map_coeffs(self, fn):
         """Apply ``fn`` to every coefficient; zero results are dropped."""
-        return self._like({k: fn(c) for k, c in self.terms.items()})
+        out = {}
+        for k, c in self.terms.items():
+            c = fn(c)
+            if c:
+                out[k] = c
+        return self._like(out, ordered=True)
 
     def select(self, keep):
         """Projection onto the terms whose key satisfies ``keep``."""
-        return self._like({k: c for k, c in self.terms.items() if keep(k)})
+        return self._like({k: c for k, c in self.terms.items() if keep(k)}, ordered=True)

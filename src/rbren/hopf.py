@@ -104,6 +104,10 @@ class TensorElement(Terms):
     _scalars = (Rational,)
     _join = staticmethod(_merge_words)
 
+    def _check_context(self):
+        if self.legs < 0:
+            raise PreconditionError(f"a tensor has no negative number of legs: {self.legs}")
+
     def _term(self, word, coeff):
         word = tuple(tuple(sorted(m)) for m in word)
         if len(word) != self.legs:

@@ -18,6 +18,7 @@ operations pure, so they can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ Exponents = tuple[int, ...]
 
 
 def _add_exps(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _max_exps(terms: Mapping[Exponents, Fraction]) -> Exponents:
@@ -82,7 +83,7 @@ class MultiPoly(Terms):
         if name not in variables:
             raise ContextError(f"{name!r} is not among variables {variables}")
         if power < 0:
-            raise ContextError("MultiPoly does not allow negative powers")
+            raise PreconditionError("MultiPoly does not allow negative powers")
         exps = tuple(power if v == name else 0 for v in variables)
         return MultiPoly._make({exps: Fraction(1)}, variables)
 
@@ -103,7 +104,7 @@ class MultiPoly(Terms):
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ContextError("MultiPoly does not allow negative powers")
+            raise PreconditionError("MultiPoly does not allow negative powers")
         result = MultiPoly.const(self.variables, 1)
         base = self
         while n:
@@ -159,17 +160,6 @@ class MultiPoly(Terms):
         if len(degrees) > 1:
             return False
         return degree is None or degrees == {degree}
-
-    def content(self) -> Fraction:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        from math import gcd
-
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den) if num else Fraction(0)
 
     def evaluate(self, point: Mapping[str, object]) -> Fraction:
         missing = [v for v in self.variables if v not in point]

@@ -261,19 +261,26 @@ class _Saito(_Algebra):
             if any(len(s) % 2 != parity for s in part.terms):
                 raise PreconditionError("Saito slots must have odd/even parity")
         # pull out the common rational content and a common monomial factor
-        # (coefficients of Saito slots are plain polynomials)
+        # (coefficients of Saito slots are plain polynomials), in one pass
         polys = [denom] + [_laurent_to_poly(c) for part in (xi, eta) for c in part.terms.values()]
-        contents = [p.content() for p in polys]
-        exps = [min_exps(p) for p in polys]
-        num = gcd(*(c.numerator for c in contents))
-        scale = Fraction(num, lcm(*(c.denominator for c in contents))) if num else Fraction(1)
-        shift = [min(col) for col in zip(*[e for e in exps if e is not None])]
-        if scale == 1 and not any(shift):
+        num, den, keys = 0, 1, []
+        for p in polys:
+            keys += p.terms
+            for c in p.terms.values():
+                num = gcd(num, c.numerator)
+                den = lcm(den, c.denominator)
+        shift = tuple(map(min, zip(*keys)))
+        # num/den is in lowest terms (a prime of num divides no coefficient's
+        # denominator), so the content is 1 only when num == den == 1
+        if num == den == 1 and not any(shift):
             return SaitoForm(denom, xi, eta)
+        scale = Fraction(num, den)
 
         def reduce_poly(p: MultiPoly) -> MultiPoly:
-            terms = {tuple(a - b for a, b in zip(e, shift)): c / scale for e, c in p.terms.items()}
-            return MultiPoly(p.variables, terms)
+            # a constant shift keeps the key order and a nonzero divisor
+            # leaves no zero coefficient
+            terms = {tuple(map(operator.sub, e, shift)): c / scale for e, c in p.terms.items()}
+            return p._like(terms, ordered=True)
 
         return SaitoForm(
             reduce_poly(denom),
@@ -438,13 +445,6 @@ class RBAlgebraDescriptor:
 def _times(m: MultiPoly | None, part: ExteriorElement) -> ExteriorElement:
     """m * part, with None standing for the multiplier 1."""
     return part if m is None else m * part
-
-
-def min_exps(p: MultiPoly):
-    """Componentwise minimum exponent vector, or None for the zero poly."""
-    if p.is_zero():
-        return None
-    return tuple(min(col) for col in zip(*p.terms.keys()))
 
 
 def _laurent_to_poly(c: LaurentPoly) -> MultiPoly:

@@ -105,8 +105,17 @@ def dump_poly_terms(p: MultiPoly) -> list:
     return [[frac_str(c), list(e)] for e, c in p.terms.items()]
 
 
+def _summed(pairs) -> dict:
+    """A term dict of (key, coefficient) pairs; a repeated key sums, as
+    keys that name one basis element do in the element constructors."""
+    out = {}
+    for key, c in pairs:
+        out[key] = out[key] + c if key in out else c
+    return out
+
+
 def _poly_terms(terms, variables) -> MultiPoly:
-    return MultiPoly(variables, {tuple(e): Fraction(c) for c, e in terms})
+    return MultiPoly(variables, _summed((tuple(e), Fraction(c)) for c, e in terms))
 
 
 def dump_poly(p: MultiPoly) -> dict:
@@ -124,7 +133,7 @@ def dump_laurent_terms(p: LaurentPoly) -> list:
 
 def _laurent(terms, names) -> LaurentPoly:
     variables = tuple(names["vars"])
-    terms = {tuple(d): _poly_terms(t, variables) for d, t in terms}
+    terms = _summed((tuple(d), _poly_terms(t, variables)) for d, t in terms)
     return LaurentPoly(names["dist"], variables, terms)
 
 
@@ -293,7 +302,7 @@ def dump_hopf(x: HopfElement) -> dict:
 
 def load_hopf(data: dict) -> HopfElement:
     _walk(data, _HOPF, "the Hopf element")
-    return HopfElement({tuple(m): Fraction(c) for c, m in data["terms"]})
+    return HopfElement(_summed((tuple(m), Fraction(c)) for c, m in data["terms"]))
 
 
 def dump_tensor(x: TensorElement) -> dict:
@@ -307,7 +316,7 @@ def dump_tensor(x: TensorElement) -> dict:
 
 def load_tensor(data: dict) -> TensorElement:
     _walk(data, _TENSOR, "the tensor")
-    terms = {tuple(map(tuple, word)): Fraction(c) for c, word in data["terms"]}
+    terms = _summed((tuple(map(tuple, word)), Fraction(c)) for c, word in data["terms"])
     return TensorElement(data["legs"], terms)
 
 

@@ -461,6 +461,20 @@ def test_malformed_laurent_elements_are_bad_input(tmp_path, element, field):
     _bad_input(run(["rb", "t", str(path), "--algebra", str(algebra)]), field)
 
 
+def test_rb_t_sums_a_repeated_exponent_vector(tmp_path):
+    """The last coefficient of a repeated exponent vector used to win, so T
+    printed 2*z^-1."""
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(json.dumps({"kind": "laurent_ms"}))
+    element = tmp_path / "element.json"
+    element.write_text(
+        json.dumps({"dist": ["z"], "vars": [], "terms": [[[-1], [["1", []]]], [[-1], [["2", []]]]]})
+    )
+    result = run(["rb", "t", str(element), "--algebra", str(algebra)])
+    assert result.status == 0
+    assert result.payload["t"]["terms"] == [[[-1], [["3", []]]]]
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["frobnicate"]).status == 2
     assert run([]).status == 2

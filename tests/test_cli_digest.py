@@ -6,17 +6,24 @@ the digest; a change that means to alter output updates ``DIGEST`` and says
 which commands changed.  ``symanzik matrix`` is in the list because
 det M = Psi holds for every cycle basis, so only the printed matrix shows
 which spanning tree ``cycle_basis_matrix`` picked.
+
+A second digest covers the Rota-Baxter and Birkhoff commands: ``rb t``,
+``rb defect`` and ``rb residue`` on seeded elements of every sweep kind and
+of ``saito(2)``, and ``birkhoff factorize --verify`` with the pole-power
+character on a small library.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 
 import oracles
 from conftest import (
     banana4_graph,
     bubble_chain_graph,
+    bubble_graph,
     connected_multigraphs,
     gamma2_graph,
     gamma3_chain_graph,
@@ -25,10 +32,11 @@ from conftest import (
     tadpole_graph,
     wheel_graph,
 )
-from rbren import serde
+from rbren import SWEEP_DESCRIPTORS, RBAlgebraDescriptor, serde
 from rbren.cli import main
 
 DIGEST = "4944e6addd107280db713ee47d8e2a1495ba74b308e042cea53900bb519479b9"
+RB_DIGEST = "d06890cf1d2a8b1d81a441bc29357bb83225afd65262fc103638b117365bfb93"
 
 
 def digest_graphs():
@@ -51,35 +59,81 @@ def digest_graphs():
     return graphs
 
 
-def test_cli_output_digest(tmp_path):
-    digest = hashlib.sha256()
+def _recorder(digest):
+    """call(files, name, *argv) runs argv with each key of files standing
+    for its path; the digest sees name and the keys in place of the files."""
 
-    def call(path, name, *argv):
-        """Run argv with GRAPH standing for the graph file; the digest sees
-        the graph's name in place of the file."""
+    def call(files, name, *argv):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            status = main([str(path) if arg == "GRAPH" else arg for arg in argv])
+            status = main([str(files[arg]) if arg in files else arg for arg in argv])
         digest.update(json.dumps([name, argv, status, out.getvalue()]).encode())
         return status, out.getvalue()
 
+    return call
+
+
+def test_cli_output_digest(tmp_path):
+    digest = hashlib.sha256()
+    call = _recorder(digest)
+
     commands = 0
     for name, g in digest_graphs():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(serde.dump_graph(g)))
+        files = {"GRAPH": tmp_path / f"{name}.json"}
+        files["GRAPH"].write_text(json.dumps(serde.dump_graph(g)))
         for cmd in ("info", "trees", "cuts", "key"):
-            call(path, name, "graph", cmd, "GRAPH")
+            call(files, name, "graph", cmd, "GRAPH")
         for dim in ("2", "4", "6"):
-            status, out = call(path, name, "graph", "divergent", "GRAPH", "--dim", dim)
+            status, out = call(files, name, "graph", "divergent", "GRAPH", "--dim", dim)
             found = json.loads(out)["divergent_subgraphs"] if status == 0 else []
             if dim == "4" and found:
                 edges = ",".join(found[0])
-                call(path, name, "graph", "quotient", "GRAPH", "--edges", edges)
+                call(files, name, "graph", "quotient", "GRAPH", "--edges", edges)
                 commands += 1
         for cmd in ("coproduct", "antipode"):
-            call(path, name, "hopf", cmd, "--graph", "GRAPH", "--dim", "4")
+            call(files, name, "hopf", cmd, "--graph", "GRAPH", "--dim", "4")
         for cmd in ("matrix", "upsilon"):
-            call(path, name, "symanzik", cmd, "GRAPH")
+            call(files, name, "symanzik", cmd, "GRAPH")
         commands += 11
     assert commands == 1530
     assert digest.hexdigest() == DIGEST
+
+
+def test_rb_and_birkhoff_output_digest(tmp_path):
+    digest = hashlib.sha256()
+    call = _recorder(digest)
+    commands = 0
+    kinds = dict(SWEEP_DESCRIPTORS, saito_2=RBAlgebraDescriptor.saito(2))
+    for kind, desc in sorted(kinds.items()):
+        algebra = tmp_path / f"{kind}.json"
+        algebra.write_text(json.dumps(serde.dump_descriptor(desc)))
+        rng = random.Random(f"digest:{kind}")
+        paths = []
+        for i in range(8):
+            paths.append(tmp_path / f"{kind}-{i}.json")
+            x = desc.random_element(rng, even=i % 4 != 3)
+            paths[-1].write_text(json.dumps(serde.dump_element(desc, x)))
+        for i, path in enumerate(paths):
+            files = {"X": path, "Y": paths[(i + 1) % len(paths)], "ALGEBRA": algebra}
+            name = f"{kind}-{i}"
+            call(files, name, "rb", "t", "X", "--algebra", "ALGEBRA")
+            call(files, name, "rb", "defect", "X", "Y", "--algebra", "ALGEBRA")
+            for indices in (["--index", "1"], ["--index", "1", "--index", "2"]):
+                call(files, name, "rb", "residue", "X", "--algebra", "ALGEBRA", *indices)
+            commands += 4
+    graphs = {"B": bubble_graph(), "Gamma2": gamma2_graph(), "tadpole": tadpole_graph(),
+              "sunset": sunset_graph(), "C3": bubble_chain_graph(3)}
+    library = tmp_path / "library.json"
+    library.write_text(json.dumps({"graphs": {n: serde.dump_graph(g) for n, g in graphs.items()}}))
+    for c in ("0", "1/2"):
+        character = tmp_path / "character.json"
+        character.write_text(
+            json.dumps({"target": {"kind": "laurent_ms"}, "rule": "pole_power", "c": c})
+        )
+        files = {"CHARACTER": character, "LIBRARY": library}
+        for name in sorted(graphs):
+            argv = ["birkhoff", "factorize", name, "--character", "CHARACTER"]
+            call(files, f"pole_power {c}", *argv, "--library", "LIBRARY", "--verify")
+            commands += 1
+    assert commands == 202
+    assert digest.hexdigest() == RB_DIGEST

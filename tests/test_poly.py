@@ -62,6 +62,16 @@ def test_context_mismatch_raises():
         parse_laurent("z", ("z",), ()) * parse_laurent("w", ("w",), ())
 
 
+def test_negative_powers_are_a_precondition_error():
+    """Both used to raise ContextError, a context mismatch; a negative power
+    is a bad argument, as for LefschetzPolynomial."""
+    x = MultiPoly.variable(("x", "y"), "x")
+    for build in (lambda: x**-1, lambda: MultiPoly.variable(("x", "y"), "y", -2)):
+        with pytest.raises(PreconditionError, match="negative powers") as info:
+            build()
+        assert type(info.value) is PreconditionError
+
+
 def test_unassigned_variable_raises():
     with pytest.raises(ContextError):
         parse_poly("t1+t2", T_VARS).evaluate({"t1": 1})

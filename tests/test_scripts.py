@@ -1,4 +1,6 @@
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +32,34 @@ def test_renormalize_demo_script():
     assert "ok=False" not in out.stdout
     assert "Atkinson fixed point reproduces phi-: True" in out.stdout
     assert "dlog-free: False" not in out.stdout
+
+
+def test_bench_pairs_writes_every_metric_of_each_pair(tmp_path):
+    """One tiny rb_pairs pair on two copies of this tree."""
+    skip = shutil.ignore_patterns("__pycache__", ".perfbench_*")
+    for side in ("parent", "change"):
+        shutil.copytree(ROOT / "src", tmp_path / side / "src", ignore=skip)
+        shutil.copytree(ROOT / "perfbench", tmp_path / side / "perfbench", ignore=skip)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", tmp_path / "parent", "--change", tmp_path / "change", "--workload",
+            "rb_pairs", "--pairs", "1", "--seconds", "0.2", "--tiny", "--out", out]
+    done = run_script("scripts/bench_pairs.py", *map(str, argv))
+    assert done.returncode == 0, done.stderr
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = {m["name"] for m in spec["end_to_end"]}
+    report = json.loads(out.read_text())
+    assert set(report["workloads"]) == {"rb_pairs"}
+    (pair,) = report["workloads"]["rb_pairs"]["pairs"]
+    assert pair["seed"] == 1 and pair["first"] == "parent"
+    for side in ("parent", "change"):
+        assert set(pair[side]) == names
+        assert pair[f"{side}_correct"] is True and pair[f"{side}_failed"] == 0
+    metrics = report["workloads"]["rb_pairs"]["metrics"]
+    assert set(metrics) == names
+    for name, summary in metrics.items():
+        bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == name)
+        assert summary["bound"] == bound and summary["pairs"] == 1
+        assert summary["parent"]["median"] == pair["parent"][name]
+        assert summary["change"]["median"] == pair["change"][name]
+        assert 0 <= summary["change_wins"] <= 1
+        assert summary["verdict"] in ("unresolved", "worse", "better", "within bound")

@@ -95,6 +95,31 @@ def test_tensor_legs_must_be_an_integer(legs):
         serde.load_tensor(data)
 
 
+def test_tensor_legs_must_not_be_negative():
+    """A negative leg count used to be accepted."""
+    with pytest.raises(PreconditionError, match="negative number of legs"):
+        serde.load_tensor({"legs": -1, "terms": []})
+    with pytest.raises(PreconditionError, match="negative number of legs"):
+        TensorElement(-2, {})
+
+
+def test_term_readers_sum_a_repeated_key():
+    """A repeated exponent vector, monomial or word used to keep only its last
+    coefficient; it sums, as the constructors sum permuted monomials."""
+    poly = serde.load_poly({"vars": ["x"], "terms": [["1", [2]], ["1/2", [2]], ["1", [0]]]})
+    assert poly == parse_poly("3/2*x^2+1", ("x",))
+    laurent = serde.load_laurent(
+        {"dist": ["z"], "vars": ["c"], "terms": [[[-1], [["1", [0]]]], [[-1], [["2", [1]], ["-1", [0]]]]]}
+    )
+    assert laurent == parse_laurent("2*c*z^-1", ("z",), ("c",))
+    hopf = serde.load_hopf({"terms": [["1", ["A", "B"]], ["2", ["A", "B"]], ["1", ["B", "A"]]]})
+    assert hopf == HopfElement.mono(("A", "B"), 4)
+    tensor = serde.load_tensor(
+        {"legs": 2, "terms": [["1", [["B"], []]], ["-1", [["B"], []]], ["5", [[], ["A"]]]]}
+    )
+    assert tensor == TensorElement.word(((), ("A",)), 5)
+
+
 def test_element_dump_dispatch():
     laurent = RBAlgebraDescriptor.laurent_ms()
     x = parse_laurent("z^-1+2", ("z",), ())

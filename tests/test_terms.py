@@ -101,6 +101,52 @@ def test_difference_with_itself_is_zero(case):
         assert value - value == value.zero_like()
 
 
+# per type: nonzero scalars beyond the integer 3, from each scalar type
+SCALARS = {
+    "MultiPoly": (F(-2, 3),),
+    "LaurentPoly": (F(-2, 3), parse_poly("c-1", ("c",))),
+    "ExteriorElement": (F(-2, 3), parse_poly("c-1", ("c",)), _laurent("z^-1+c")),
+    "HopfElement": (F(-2, 3),),
+    "TensorElement": (F(-2, 3),),
+    "LefschetzPolynomial": (),
+}
+
+
+def _results(name, x, y):
+    """(label, value) for every operation result on x and y, with the
+    operands x and y either of which may be zero."""
+    first = next(iter(x.terms.values()), None)
+    keys = list(x.terms)[::2]
+    out = [("x+y", x + y), ("x-y", x - y), ("-x", -x), ("x*y", x * y), ("y*x", y * x)]
+    for c in (3, 0, *SCALARS[name]):
+        out += [(f"x*{c}", x * c), (f"{c}*x", c * x)]
+    out += [
+        ("select", x.select(lambda k: k in keys)),
+        ("select none", x.select(lambda k: False)),
+        # zero on every coefficient equal to the first one
+        ("map_coeffs", x.map_coeffs(lambda c: c - first)),
+        ("map_coeffs double", x.map_coeffs(lambda c: c + c)),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_result_is_in_canonical_form(name):
+    """The operations that store their result without sorting (negation,
+    select, map_coeffs, a nonzero scalar) or return an operand (a sum or
+    product with zero) give what the validating constructor gives."""
+    x, y, _ = CASES[name]
+    zero = x.zero_like()
+    for a, b in ((x, y), (y, x), (x, zero), (zero, x), (zero, zero), (x * y, x)):
+        for label, value in _results(name, a, b):
+            rebuilt = dataclasses.replace(value, terms=dict(reversed(value.terms.items())))
+            assert rebuilt == value, label
+            assert list(rebuilt.terms.items()) == list(value.terms.items()), label
+            assert _canonical(value), label
+    assert x + zero == x and zero + x == x and x - zero == x and zero - x == -x
+    assert (x * zero).is_zero() and (zero * x).is_zero()
+
+
 # per type: a key that none of the elements built from CASES holds
 SPARE_KEYS = {
     "MultiPoly": (7, 7),

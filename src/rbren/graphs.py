@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -32,14 +32,19 @@ EdgeId = str | int
 CANONICAL_KEY_WORK_BOUND = 24_000_000
 
 
+def _id_key(x) -> tuple[bool, EdgeId]:
+    """The one order on ids: ints by value, then strs by text; an int id and
+    a str id are never compared with each other."""
+    return (isinstance(x, str), x)
+
+
 def _sort_ids(ids):
-    return tuple(sorted(ids, key=lambda x: (isinstance(x, str), str(x))))
+    return tuple(sorted(ids, key=_id_key))
 
 
 def _id_order(ids) -> tuple[tuple[bool, EdgeId], ...]:
-    """Sort key of an id set: its sorted ids, each paired with its type, so
-    that an int id and a str id are never compared with each other."""
-    return tuple((isinstance(x, str), x) for x in _sort_ids(ids))
+    """Sort key of an id set: the keys of its ids, in order."""
+    return tuple(sorted(map(_id_key, ids)))
 
 
 @dataclass(frozen=True)
@@ -48,27 +53,35 @@ class FeynmanGraph:
     internal_edges: tuple[tuple[EdgeId, VertexId, VertexId], ...]
     external_edges: tuple[tuple[VertexId, tuple[Fraction, ...]], ...] = ()
     valences: frozenset[int] | None = None
+    # the graph on vertex indices, positions in ``vertices``: the (tail, head)
+    # of each internal edge, and the number of legs at each vertex
+    ends: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    legs: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vertices = tuple(self.vertices)
-        vset = set(vertices)
-        if len(vset) != len(vertices):
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise ContextError("repeated vertex id")
         edges = []
+        ends = []
         seen = set()
         for eid, tail, head in self.internal_edges:
             if eid in seen:
                 raise ContextError(f"repeated edge id {eid!r}")
             seen.add(eid)
-            if tail not in vset or head not in vset:
+            if tail not in index or head not in index:
                 raise ContextError(f"edge {eid!r} has unknown endpoint")
             edges.append((eid, tail, head))
+            ends.append((index[tail], index[head]))
         externals = []
+        legs = [0] * len(vertices)
         dim = None
         total = None
         for vertex, momentum in self.external_edges:
-            if vertex not in vset:
+            if vertex not in index:
                 raise ContextError(f"external leg at unknown vertex {vertex!r}")
+            legs[index[vertex]] += 1
             momentum = tuple(Fraction(q) for q in momentum)
             if dim is None:
                 dim = len(momentum)
@@ -85,23 +98,16 @@ class FeynmanGraph:
         object.__setattr__(self, "internal_edges", tuple(edges))
         object.__setattr__(self, "external_edges", tuple(externals))
         object.__setattr__(self, "valences", valences)
+        object.__setattr__(self, "ends", tuple(ends))
+        object.__setattr__(self, "legs", tuple(legs))
 
     # -- basic queries -------------------------------------------------------
 
     def edge_ids(self) -> tuple[EdgeId, ...]:
         return tuple(e[0] for e in self.internal_edges)
 
-    def edge(self, eid: EdgeId) -> tuple[EdgeId, VertexId, VertexId]:
-        for e in self.internal_edges:
-            if e[0] == eid:
-                return e
-        raise ContextError(f"no internal edge {eid!r}")
-
     def external_multiplicity(self) -> dict[VertexId, int]:
-        counts = {v: 0 for v in self.vertices}
-        for v, _ in self.external_edges:
-            counts[v] += 1
-        return counts
+        return dict(zip(self.vertices, self.legs))
 
     def momentum_dim(self) -> int | None:
         return len(self.external_edges[0][1]) if self.external_edges else None
@@ -133,7 +139,7 @@ def _union_find(n: int, ends) -> tuple[list[int], list[int]]:
 
 
 def connected_components(g: FeynmanGraph) -> list[frozenset[VertexId]]:
-    root, _ = _union_find(len(g.vertices), _edge_ends(g))
+    root, _ = _union_find(len(g.vertices), g.ends)
     groups: dict[int, set[VertexId]] = {}
     for v, r in zip(g.vertices, root):
         groups.setdefault(r, set()).add(v)
@@ -148,13 +154,7 @@ def loop_number(g: FeynmanGraph) -> int:
     return len(g.internal_edges) - len(g.vertices) + len(connected_components(g))
 
 
-def _edge_ends(g: FeynmanGraph) -> list[tuple[int, int]]:
-    """(tail, head) of every internal edge as indices into g.vertices."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return [(index[tail], index[head]) for _, tail, head in g.internal_edges]
-
-
-def _is_2_edge_connected(n: int, ends: list[tuple[int, int]]) -> bool:
+def _is_2_edge_connected(n: int, ends) -> bool:
     """Connected and bridgeless, for the multigraph on vertices 0..n-1 with
     edge i joining ends[i].
 
@@ -208,7 +208,7 @@ def edge_connectivity(g: FeynmanGraph) -> int | float:
     if n < 2:
         return math.inf
     weight = [[0] * n for _ in range(n)]
-    for a, b in _edge_ends(g):
+    for a, b in g.ends:
         if a != b:
             weight[a][b] += 1
             weight[b][a] += 1
@@ -237,7 +237,7 @@ def edge_connectivity(g: FeynmanGraph) -> int | float:
 def is_1pi(g: FeynmanGraph) -> bool:
     """One-particle-irreducible: connected and bridgeless (2-edge-connected),
     by one linear-time lowlink search."""
-    return _is_2_edge_connected(len(g.vertices), _edge_ends(g))
+    return _is_2_edge_connected(len(g.vertices), g.ends)
 
 
 # -- spanning forests, trees and cut sets ---------------------------------------
@@ -256,7 +256,7 @@ def _spanning_forests(g: FeynmanGraph, k: int) -> list[tuple[int, list[int]]]:
     output-polynomial (Read & Tarjan, Networks 5, 1975): O(|E| (|V| + |E|))
     per forest, where a subset scan tests C(|E|, |V| - k) edge sets.
     """
-    ends = [(i, a, b) for i, (a, b) in enumerate(_edge_ends(g)) if a != b]
+    ends = [(i, a, b) for i, (a, b) in enumerate(g.ends) if a != b]
     n = len(g.vertices)
     if n == 0:
         raise ValueError("a graph without vertices has no spanning forest")
@@ -303,23 +303,10 @@ def _at_most_components(roots, trees, ends, k) -> bool:
 
 
 def _sorted_edge_sets(g: FeynmanGraph, masks: list[int]) -> list[frozenset[EdgeId]]:
-    """The edge sets of the bitmasks, ordered by ``_id_order``: each set is
-    keyed on the ranks of its ids, listed in ``_sort_ids`` order, where a
-    rank is an id's place among the ``_id_order`` pairs."""
+    """The edge sets of the bitmasks, ordered by ``_id_order``."""
     ids = g.edge_ids()
-    position = {eid: i for i, eid in enumerate(ids)}
-    order = [position[eid] for eid in _sort_ids(ids)]
-    rank = [0] * len(ids)
-    for r, (_, eid) in enumerate(sorted(_id_order(ids))):
-        rank[position[eid]] = r
-
-    def key(mask):
-        return tuple(rank[i] for i in order if mask >> i & 1)
-
-    return [
-        frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
-        for mask in sorted(masks, key=key)
-    ]
+    sets = [frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1) for mask in masks]
+    return sorted(sets, key=_id_order)
 
 
 def spanning_trees(g: FeynmanGraph) -> list[frozenset[EdgeId]]:
@@ -343,6 +330,10 @@ class SubgraphSpec:
     edges: frozenset[EdgeId]
     vertices: frozenset[VertexId]
 
+    def __post_init__(self):
+        object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "vertices", frozenset(self.vertices))
+
     @staticmethod
     def from_edges(g: FeynmanGraph, edges: Iterable[EdgeId]) -> "SubgraphSpec":
         edges = frozenset(edges)
@@ -358,6 +349,33 @@ class SubgraphSpec:
         return SubgraphSpec(edges, frozenset(verts))
 
 
+def _members(g: FeynmanGraph, spec: SubgraphSpec) -> list[int]:
+    """The indices of spec's edges in g.internal_edges.  Refuses an edge or
+    vertex id that g lacks, and an edge of spec with an end outside spec's
+    vertices."""
+    for kind, unknown in (
+        ("edge", spec.edges - set(g.edge_ids())),
+        ("vertex", spec.vertices - set(g.vertices)),
+    ):
+        if unknown:
+            raise ContextError(f"unknown {kind} id {_sort_ids(unknown)[0]!r}")
+    members = []
+    for i, (eid, tail, head) in enumerate(g.internal_edges):
+        if eid in spec.edges:
+            if tail not in spec.vertices or head not in spec.vertices:
+                raise ContextError(f"edge {eid!r} has unknown endpoint")
+            members.append(i)
+    return members
+
+
+def _roots(g: FeynmanGraph, spec: SubgraphSpec) -> tuple[list[int], list[int]]:
+    """spec's edge indices, and the union-find root of each vertex index of g
+    once those edges are contracted: the one contraction of an edge subset."""
+    members = _members(g, spec)
+    root, _ = _union_find(len(g.vertices), [g.ends[i] for i in members])
+    return members, root
+
+
 def subgraph_view(g: FeynmanGraph, spec: SubgraphSpec) -> FeynmanGraph:
     """The subgraph as a standalone graph.
 
@@ -365,53 +383,46 @@ def subgraph_view(g: FeynmanGraph, spec: SubgraphSpec) -> FeynmanGraph:
     internal edge endpoint; all leg momenta are zeroed (only multiplicities
     matter downstream, for isomorphism keying).
     """
-    verts = _sort_ids(spec.vertices)
-    edges = tuple(e for e in g.internal_edges if e[0] in spec.edges)
-    legs = []
-    vset = set(spec.vertices)
-    for v, _ in g.external_edges:
-        if v in vset:
-            legs.append((v, ()))
+    edges = tuple(g.internal_edges[i] for i in _members(g, spec))
+    inside = spec.vertices
+    legs = [(v, ()) for v, _ in g.external_edges if v in inside]
     for eid, tail, head in g.internal_edges:
         if eid in spec.edges:
             continue
-        if tail in vset:
+        if tail in inside:
             legs.append((tail, ()))
-        if head in vset:
+        if head in inside:
             legs.append((head, ()))
-    return FeynmanGraph(verts, edges, tuple(legs), g.valences)
+    return FeynmanGraph(_sort_ids(inside), edges, tuple(legs), g.valences)
 
 
 def subgraph_components(g: FeynmanGraph, spec: SubgraphSpec) -> list[SubgraphSpec]:
     """The connected components of the subgraph, ordered by vertex ids; a
     vertex of spec that none of its edges touches is a component alone."""
-    verts = tuple(spec.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    members = [e for e in g.internal_edges if e[0] in spec.edges]
-    for eid, tail, head in members:
-        if tail not in index or head not in index:
-            raise ContextError(f"edge {eid!r} has unknown endpoint")
-    root, _ = _union_find(len(verts), [(index[t], index[h]) for _, t, h in members])
+    members, root = _roots(g, spec)
     # (edge ids, vertex ids) of each component, keyed by its root
-    comps: dict[int, tuple[set, set]] = {r: (set(), set()) for r in root}
-    for v, r in zip(verts, root):
-        comps[r][1].add(v)
-    for eid, tail, _ in members:
-        comps[root[index[tail]]][0].add(eid)
+    comps: dict[int, tuple[set, set]] = {}
+    for v, r in zip(g.vertices, root):
+        if v in spec.vertices:
+            comps.setdefault(r, (set(), set()))[1].add(v)
+    for i in members:
+        comps[root[g.ends[i][0]]][0].add(g.internal_edges[i][0])
     out = [SubgraphSpec(frozenset(e), frozenset(v)) for e, v in comps.values()]
     return sorted(out, key=lambda s: _id_order(s.vertices))
 
 
 def quotient(g: FeynmanGraph, spec: SubgraphSpec) -> FeynmanGraph:
-    """Contract each connected component of the subgraph to a vertex."""
+    """Contract each connected component of the subgraph to its least
+    vertex id."""
     if spec.edges >= set(g.edge_ids()):
         raise QuotientError("cannot contract the whole graph")
-    mapping: dict[VertexId, VertexId] = {v: v for v in g.vertices}
-    for comp in subgraph_components(g, spec):
-        rep = _sort_ids(comp.vertices)[0]
-        for v in comp.vertices:
-            mapping[v] = rep
-    new_vertices = _sort_ids(set(mapping.values()))
+    _, root = _roots(g, spec)
+    least: dict[int, VertexId] = {}
+    for v, r in zip(g.vertices, root):
+        if r not in least or _id_key(v) < _id_key(least[r]):
+            least[r] = v
+    mapping = {v: least[r] for v, r in zip(g.vertices, root)}
+    new_vertices = _sort_ids(least.values())
     new_edges = tuple(
         (eid, mapping[tail], mapping[head])
         for eid, tail, head in g.internal_edges
@@ -448,9 +459,9 @@ def divergent_subgraphs(
     of C circuits, where a subset scan costs 2^|E| tests.
     """
     ids = g.edge_ids()
-    ends = _edge_ends(g)
+    ends = g.ends
     n = len(g.vertices)
-    legs = list(g.external_multiplicity().values())
+    legs = g.legs
 
     def spec_of(members: tuple[int, ...]) -> SubgraphSpec:
         verts = {g.vertices[v] for i in members for v in ends[i]}
@@ -535,48 +546,39 @@ def cycle_basis_matrix(g: FeynmanGraph) -> list[list[int]]:
     cycle of the k-th non-tree edge (in declared edge order).  Entries are
     +1, -1, 0 according to how the edge is traversed in the loop.
     """
-    _, joined = _union_find(len(g.vertices), _edge_ends(g))
-    if len(joined) < len(g.vertices) - 1:
+    n = len(g.vertices)
+    _, joined = _union_find(n, g.ends)
+    if len(joined) < n - 1:
         raise DisconnectedError("cycle basis needs a connected graph")
-    in_tree = set(joined)
-    tree = [g.internal_edges[i] for i in joined]
-    chords = [e for i, e in enumerate(g.internal_edges) if i not in in_tree]
-
-    adjacency: dict[VertexId, list[tuple[VertexId, EdgeId, int]]] = {
-        v: [] for v in g.vertices
-    }
-    for eid, tail, head in tree:
-        adjacency[tail].append((head, eid, +1))
-        adjacency[head].append((tail, eid, -1))
-
-    def tree_path(a: VertexId, b: VertexId) -> list[tuple[EdgeId, int]]:
-        """Edges from a to b along the tree with traversal directions."""
-        prev: dict[VertexId, tuple[VertexId, EdgeId, int]] = {a: (a, None, 0)}
-        stack = [a]
-        while stack:
-            v = stack.pop()
-            if v == b:
-                break
-            for w, eid, sign in adjacency[v]:
-                if w not in prev:
-                    prev[w] = (v, eid, sign)
-                    stack.append(w)
-        path = []
-        v = b
-        while v != a:
-            u, eid, sign = prev[v]
-            path.append((eid, sign))
-            v = u
-        path.reverse()
-        return path
-
-    index = {eid: i for i, eid in enumerate(g.edge_ids())}
-    n = len(g.internal_edges)
-    eta = [[0] * len(chords) for _ in range(n)]
-    for k, (eid, tail, head) in enumerate(chords):
-        eta[index[eid]][k] = 1
-        for tid, sign in tree_path(head, tail):
-            eta[index[tid]][k] = sign
+    # hang the tree from vertex 0: each vertex's parent, depth, the edge up
+    # to its parent, and the sign of crossing that edge upwards
+    tree: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i in joined:
+        a, b = g.ends[i]
+        tree[a].append((b, i))
+        tree[b].append((a, i))
+    parent, depth, up, sign = [0] * n, [0] * n, [0] * n, [0] * n
+    hung = [0] if n else []
+    for v in hung:
+        for w, i in tree[v]:
+            if w != parent[v]:
+                parent[w], depth[w], up[w] = v, depth[v] + 1, i
+                sign[w] = 1 if g.ends[i][0] == w else -1
+                hung.append(w)
+    chords = sorted(set(range(len(g.ends))) - set(joined))
+    eta = [[0] * len(chords) for _ in g.ends]
+    for k, i in enumerate(chords):
+        eta[i][k] = 1
+        # the tree path from the chord's head back to its tail: climb from
+        # the deeper end until both ends meet
+        tail, head = g.ends[i]
+        while tail != head:
+            if depth[head] >= depth[tail]:
+                eta[up[head]][k] = sign[head]
+                head = parent[head]
+            else:
+                eta[up[tail]][k] = -sign[tail]
+                tail = parent[tail]
     return eta
 
 
@@ -592,14 +594,14 @@ def canonical_key(g: FeynmanGraph) -> bytes:
     CANONICAL_KEY_WORK_BOUND; name such generators explicitly instead of
     relying on isomorphism collapsing.
     """
-    ext = g.external_multiplicity()
-    degree = {v: 0 for v in g.vertices}
-    for _, tail, head in g.internal_edges:
-        degree[tail] += 1
-        degree[head] += 1
-    # refine permutation classes by invariants; only ext counts enter the key
-    invariant = {v: (ext[v], degree[v]) for v in g.vertices}
-    order = sorted(g.vertices, key=invariant.__getitem__)
+    n = len(g.vertices)
+    degree = [0] * n
+    for a, b in g.ends:
+        degree[a] += 1
+        degree[b] += 1
+    # refine permutation classes by invariants; only leg counts enter the key
+    invariant = list(zip(g.legs, degree))
+    order = sorted(range(n), key=invariant.__getitem__)
     classes = [list(c) for _, c in itertools.groupby(order, invariant.__getitem__)]
     work = max(len(g.internal_edges), 1)
     for cls in classes:
@@ -610,20 +612,16 @@ def canonical_key(g: FeynmanGraph) -> bytes:
                 f" {CANONICAL_KEY_WORK_BOUND} (relabelings x internal edges);"
                 " name generators explicitly"
             )
-    pairs = [(tail, head) for _, tail, head in g.internal_edges]
     best = None
+    label = [0] * n
     for assignment in itertools.product(*[itertools.permutations(c) for c in classes]):
-        label: dict[VertexId, int] = {}
-        i = 0
-        for perm in assignment:
-            for v in perm:
-                label[v] = i
-                i += 1
+        for i, v in enumerate(itertools.chain.from_iterable(assignment)):
+            label[v] = i
         edges = sorted(
-            (min(label[t], label[h]), max(label[t], label[h])) for t, h in pairs
+            (min(label[a], label[b]), max(label[a], label[b])) for a, b in g.ends
         )
         if best is None or edges < best:
             best = edges
-    colors = tuple(ext[v] for cls in classes for v in cls)
-    canon = (len(g.vertices), colors, tuple(best or []))
+    colors = tuple(g.legs[v] for v in order)
+    canon = (n, colors, tuple(best or []))
     return repr(canon).encode()

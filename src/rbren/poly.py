@@ -87,10 +87,6 @@ class MultiPoly(Terms):
         exps = tuple(power if v == name else 0 for v in variables)
         return MultiPoly._make({exps: Fraction(1)}, variables)
 
-    @staticmethod
-    def monomial(variables: Iterable[str], exps: Iterable[int], coeff=1) -> "MultiPoly":
-        return MultiPoly(tuple(variables), {tuple(exps): Fraction(coeff)})
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
@@ -330,10 +326,6 @@ class LaurentPoly(Terms):
         return LaurentPoly.from_poly(
             MultiPoly.variable(variables, name, power), dist
         )
-
-    @staticmethod
-    def monomial(dist, variables, dist_exps: Iterable[int], coeff: MultiPoly):
-        return LaurentPoly(tuple(dist), tuple(variables), {tuple(dist_exps): coeff})
 
     # -- ring operations ----------------------------------------------------
 

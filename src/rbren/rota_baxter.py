@@ -86,6 +86,8 @@ class _Algebra:
     simple_T = False
     # T(x)T(y) = 0 and T(xy) = T(x)y + xT(y)
     derivation_T = False
+    # the kind has exactly one divisor, so the descriptor's count must be 1
+    one_divisor = False
 
     dist_vars: tuple[str, ...] = ()
     poly_vars: tuple[str, ...]
@@ -155,6 +157,7 @@ class _Laurent(_Algebra):
 
 class _Merom(_Algebra):
     dist_vars = ("f",)
+    one_divisor = True
 
     def __init__(self, desc: "RBAlgebraDescriptor"):
         self.poly_vars = _names("x", desc.ambient)
@@ -179,11 +182,7 @@ class _NcLog(_Algebra):
 
 class _SmoothLog(_NcLog):
     derivation_T = True
-
-    def __init__(self, desc: "RBAlgebraDescriptor"):
-        if desc.divisors != 1:
-            raise PreconditionError("smooth_log_form has exactly one divisor")
-        super().__init__(desc)
+    one_divisor = True
 
 
 class _Saito(_Algebra):
@@ -330,7 +329,8 @@ class RBAlgebraDescriptor:
     on the class (a profiler, a tracer) sees each call."""
 
     kind: str
-    divisors: int = 0
+    # None is the kind's own count: 1 where it has exactly one divisor, else 0
+    divisors: int | None = None
     ambient: int = 0
     coeff_vars: tuple[str, ...] = ()
 
@@ -338,6 +338,10 @@ class RBAlgebraDescriptor:
         kind_class = _ALGEBRAS.get(self.kind) if isinstance(self.kind, str) else None
         if kind_class is None:
             raise PreconditionError(f"unknown algebra kind {self.kind!r}")
+        if self.divisors is None:
+            object.__setattr__(self, "divisors", int(kind_class.one_divisor))
+        elif kind_class.one_divisor and self.divisors != 1:
+            raise PreconditionError(f"{self.kind} has exactly one divisor")
         object.__setattr__(self, "coeff_vars", tuple(self.coeff_vars))
         object.__setattr__(self, "_algebra", kind_class(self))
 

@@ -224,7 +224,7 @@ def load_descriptor(data: dict) -> RBAlgebraDescriptor:
         # every kind carries the weight -1 polar splitting
         raise PreconditionError("descriptor weight must be -1")
     return RBAlgebraDescriptor(
-        data["kind"], data.get("divisors", 0), data.get("ambient", 0), data.get("coeff_vars", ())
+        data["kind"], data.get("divisors"), data.get("ambient", 0), data.get("coeff_vars", ())
     )
 
 

@@ -103,12 +103,9 @@ def is_two_edge_connected(vertices, edges) -> bool:
 
 
 def _id_order(ids):
-    """The library's order on id sets: ids sorted by type and then text,
-    compared as (is str, id) pairs."""
-    return tuple(
-        (isinstance(x, str), x)
-        for x in sorted(ids, key=lambda x: (isinstance(x, str), str(x)))
-    )
+    """The library's order on id sets: the sorted (is str, id) pairs of the
+    ids, so ints go by value before strs by text."""
+    return tuple(sorted((isinstance(x, str), x) for x in ids))
 
 
 def brute_spanning_trees(g) -> list[frozenset]:

@@ -11,10 +11,16 @@ A second digest covers the Rota-Baxter and Birkhoff commands: ``rb t``,
 ``rb defect`` and ``rb residue`` on seeded elements of every sweep kind and
 of ``saito(2)``, and ``birkhoff factorize --verify`` with the pole-power
 character on a small library.
+
+A third digest covers the periods commands: ``symanzik psi``, ``second``,
+``check`` and ``eta`` on the same graphs as the first, ``motive
+arrangement`` on small arrangement files and ``motive sigma`` for
+l <= 6 (l = 7 already takes seconds).
 """
 
 import contextlib
 import hashlib
+import itertools
 import io
 import json
 import random
@@ -32,11 +38,12 @@ from conftest import (
     tadpole_graph,
     wheel_graph,
 )
-from rbren import SWEEP_DESCRIPTORS, RBAlgebraDescriptor, serde
+from rbren import SWEEP_DESCRIPTORS, Arrangement, RBAlgebraDescriptor, serde
 from rbren.cli import main
 
 DIGEST = "4944e6addd107280db713ee47d8e2a1495ba74b308e042cea53900bb519479b9"
 RB_DIGEST = "d06890cf1d2a8b1d81a441bc29357bb83225afd65262fc103638b117365bfb93"
+PERIODS_DIGEST = "76ad0311d5445513720829727eac477ae3af58bdd30ffb1af57191bc062fe471"
 
 
 def digest_graphs():
@@ -137,3 +144,42 @@ def test_rb_and_birkhoff_output_digest(tmp_path):
             commands += 1
     assert commands == 202
     assert digest.hexdigest() == RB_DIGEST
+
+
+def test_periods_output_digest(tmp_path):
+    digest = hashlib.sha256()
+    call = _recorder(digest)
+    commands = 0
+    for name, g in digest_graphs():
+        files = {"GRAPH": tmp_path / f"{name}.json"}
+        files["GRAPH"].write_text(json.dumps(serde.dump_graph(g)))
+        for cmd in ("psi", "second", "check", "eta"):
+            call(files, name, "symanzik", cmd, "GRAPH")
+        commands += 4
+    braid = [
+        [int(k == i) - int(k == j) for k in range(4)] for i, j in itertools.combinations(range(4), 2)
+    ]
+    rng = random.Random("digest:arrangements")
+    arrangements = {
+        "braid A3": Arrangement(4, braid, projective=True),
+        "braid A3 affine": Arrangement(4, braid),
+        "halves": Arrangement(3, [[1, "1/2", 0], [0, 1, "-2/3"], [1, 0, 1]], projective=True),
+    }
+    # the forms in {-1, 0, 1}^3 whose first nonzero entry is 1: one per plane
+    forms = [
+        f for f in itertools.product((-1, 0, 1), repeat=3) if any(f) and next(filter(None, f)) == 1
+    ]
+    for i in range(6):
+        planes = rng.sample(forms, rng.randint(2, 7))
+        arrangements[f"random {i}"] = Arrangement(3, planes, projective=i % 2 == 0)
+    for name, arr in arrangements.items():
+        files = {"ARRANGEMENT": tmp_path / "arrangement.json"}
+        files["ARRANGEMENT"].write_text(json.dumps(serde.dump_arrangement(arr)))
+        call(files, name, "motive", "arrangement", "ARRANGEMENT")
+        commands += 1
+    for loops in range(1, 7):
+        for genus in range(4):
+            call({}, "sigma", "motive", "sigma", str(loops), str(genus))
+            commands += 1
+    assert commands == 549
+    assert digest.hexdigest() == PERIODS_DIGEST

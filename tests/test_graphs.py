@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -234,6 +235,84 @@ def test_subgraph_components_hand_built_specs(gamma2, sunset):
         subgraph_components(sunset, outside)
     with pytest.raises(ContextError, match="unknown endpoint"):
         quotient(sunset, outside)
+
+
+def test_specs_naming_ids_the_graph_lacks_are_refused(sunset):
+    """A vertex or edge id that g lacks is named, not added to a view or a
+    quotient, nor silently dropped."""
+    stray_vertex = SubgraphSpec(frozenset({"e1", "e2"}), frozenset({"u", "v", "w"}))
+    stray_edge = SubgraphSpec(frozenset({"e1", "x"}), frozenset({"u", "v"}))
+    for spec, message in ((stray_vertex, "unknown vertex id 'w'"), (stray_edge, "unknown edge id 'x'")):
+        for op in (quotient, subgraph_view, subgraph_components):
+            with pytest.raises(ContextError, match=message):
+                op(sunset, spec)
+    # a spec given as lists holds the same sets
+    listed = SubgraphSpec(["e1", "e2"], ["u", "v"])
+    assert listed == SubgraphSpec.from_edges(sunset, ("e1", "e2"))
+    assert quotient(sunset, listed) == quotient(sunset, SubgraphSpec.from_edges(sunset, ("e1", "e2")))
+
+
+def test_int_ids_are_ordered_by_value():
+    """Ids 10 and above sort after 2 and 3, as numbers: quotient maps a
+    component to its least vertex, and edge sets are listed by edge ids."""
+    g = FeynmanGraph((2, 10, 3), ((1, 2, 10), (2, 2, 10), (3, 10, 3), (4, 3, 2)))
+    q = quotient(g, SubgraphSpec.from_edges(g, (1, 2)))
+    assert q.vertices == (2, 3)
+    assert q.internal_edges == ((3, 2, 3), (4, 3, 2))
+    assert subgraph_view(g, SubgraphSpec.from_edges(g, (1, 3))).vertices == (2, 3, 10)
+    banana = FeynmanGraph(("u", "v"), ((11, "u", "v"), (2, "u", "v"), (10, "u", "v")))
+    assert [s.edges for s in divergent_subgraphs(banana, 4)] == [{2, 10}, {2, 11}, {10, 11}]
+    assert spanning_trees(banana) == [{2}, {10}, {11}]
+    assert cut_sets(banana) == [{2, 10, 11}]
+    triangle = FeynmanGraph((-1, 9, 12), ((12, -1, 9), (-3, 9, 12), (9, 12, -1)))
+    assert spanning_trees(triangle) == [{-3, 9}, {-3, 12}, {9, 12}]
+    assert [c.vertices for c in subgraph_components(
+        triangle, SubgraphSpec(frozenset({9}), frozenset(triangle.vertices))
+    )] == [{-1, 12}, {9}]
+
+
+def test_index_form_matches_the_ids():
+    """ends and legs are the edges and legs on vertex indices; they are
+    derived, so they stay out of equality, hashing and repr."""
+    mixed = FeynmanGraph(
+        ("u", 2, 0), ((1, "u", 2), ("x", 0, 0), ("y", 2, "u")), (("u", ()), (0, ()), ("u", ()))
+    )
+    for g in (mixed, gamma2_graph(), wheel_graph(4)):
+        position = g.vertices.index
+        assert g.ends == tuple((position(t), position(h)) for _, t, h in g.internal_edges)
+        assert g.legs == tuple(
+            sum(1 for u, _ in g.external_edges if u == v) for v in g.vertices
+        )
+        assert "ends" not in repr(g) and "legs" not in repr(g)
+        assert dataclasses.replace(g) == g and hash(dataclasses.replace(g)) == hash(g)
+    assert mixed.ends == ((0, 1), (2, 2), (1, 0)) and mixed.legs == (2, 0, 1)
+    derived = [f.name for f in dataclasses.fields(FeynmanGraph) if not (f.compare or f.repr)]
+    assert derived == ["ends", "legs"]
+
+
+def test_cycle_basis_is_the_fundamental_cycles_exhaustively():
+    """Every connected multigraph with <= 5 vertices and <= 6 edges: the
+    columns are the chords of the greedy spanning tree in declared order,
+    their rows form the identity, and every column is a signed cycle (the
+    vertex incidence times it is 0)."""
+    checked = 0
+    for g in connected_multigraphs(5, 6):
+        edges = [(t, h) for _, t, h in g.internal_edges]
+        chords = [
+            i for i, (t, h) in enumerate(edges)
+            if any({t, h} <= c for c in oracles.components(g.vertices, edges[:i]))
+        ]
+        eta = cycle_basis_matrix(g)
+        assert [len(row) for row in eta] == [len(chords)] * len(edges)
+        assert [[eta[i][k] for k in range(len(chords))] for i in chords] == [
+            [int(j == k) for k in range(len(chords))] for j in range(len(chords))
+        ]
+        for k in range(len(chords)):
+            assert all(eta[i][k] in (-1, 0, 1) for i in range(len(edges)))
+            for v in g.vertices:
+                assert sum(eta[i][k] * ((h == v) - (t == v)) for i, (t, h) in enumerate(edges)) == 0
+        checked += 1
+    assert checked == 12702
 
 
 def test_cycle_basis_triangle(triangle):

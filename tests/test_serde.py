@@ -66,6 +66,19 @@ def test_descriptor_round_trip():
         assert serde.load_descriptor(serde.dump_descriptor(desc)) == desc
 
 
+def test_one_divisor_kinds_read_an_omitted_count_as_one():
+    """merom_form and smooth_log_form have exactly one divisor: an omitted
+    count reads as 1 (so characters over either file convolve) and any other
+    count is refused."""
+    for kind, desc in (("merom_form", RBAlgebraDescriptor.merom(2)),
+                       ("smooth_log_form", RBAlgebraDescriptor.smooth_log(2))):
+        loaded = serde.load_descriptor({"kind": kind, "ambient": 2})
+        assert loaded == desc and serde.dump_descriptor(loaded)["divisors"] == 1
+        for divisors in (0, 2):
+            with pytest.raises(PreconditionError, match="exactly one divisor"):
+                serde.load_descriptor({"kind": kind, "divisors": divisors, "ambient": 2})
+
+
 def test_graph_round_trip():
     for g in (sunset_graph(), gamma2_graph()):
         assert serde.load_graph(serde.dump_graph(g)) == g

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Seeded randomized sweep of the weight -1 identity and the per-kind
-operator laws over all five algebra kinds.
+operator laws over all five algebra kinds; exits 1 when any pair fails
+the identity or a law.
 
     python3 scripts/rb_identity_sweep.py --pairs 500 --seed 11
 """
@@ -25,6 +26,7 @@ def main():
 
     kinds = args.kind or sorted(SWEEP_DESCRIPTORS)
     print(f"{'kind':<18} {'pairs':>6} {'rb fails':>9} {'law fails':>10} {'secs':>6}")
+    failed = False
     for kind in kinds:
         started = time.time()
         rb_failures, law_failures = sweep(SWEEP_DESCRIPTORS[kind], args.pairs, args.seed)
@@ -33,7 +35,9 @@ def main():
             f"{kind:<18} {args.pairs:>6} {rb_failures:>9} {law_failures:>10}"
             f" {elapsed:>6.2f}"
         )
+        failed = failed or rb_failures > 0 or law_failures > 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -116,19 +116,12 @@ class ExteriorElement(Terms):
     def is_even(self) -> bool:
         return all(len(s) % 2 == 0 for s in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int | None:
         """Degree of a homogeneous element; None for 0 or mixed degrees."""
         d = self.degrees()
         return d.pop() if len(d) == 1 else None
 
     # -- structural helpers -------------------------------------------------
-
-    def coefficient(self, names: Iterable[str]) -> LaurentPoly | None:
-        idx = tuple(sorted(self.gens.index(n) for n in names))
-        return self.terms.get(idx)
 
     def __str__(self):
         if not self.terms:

@@ -178,9 +178,6 @@ class MultiPoly(Terms):
         i = self.variables.index(name)
         return self.select(lambda e: e[i] == 0)
 
-    def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def __str__(self):
         return render_terms(self.variables, self.terms)
 

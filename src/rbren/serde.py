@@ -9,6 +9,7 @@ reads a file only after ``_walk`` has checked it against its table.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from typing import Any
 
@@ -18,7 +19,7 @@ from .graphs import FeynmanGraph
 from .hopf import HopfElement, TensorElement
 from .motives import Arrangement
 from .poly import LaurentPoly, MultiPoly
-from .rota_baxter import RBAlgebraDescriptor, SaitoForm
+from .rota_baxter import KINDS, RBAlgebraDescriptor, SaitoForm
 
 _JSON_TYPES = {dict: "an object", list: "an array", int: "an integer", bool: "a boolean",
                str: "a string"}
@@ -210,12 +211,12 @@ def load_saito(data: dict) -> SaitoForm:
 
 
 def dump_descriptor(desc: RBAlgebraDescriptor) -> dict:
-    return {
-        "kind": desc.kind,
-        "divisors": desc.divisors,
-        "ambient": desc.ambient,
-        "coeff_vars": list(desc.coeff_vars),
-    }
+    """The kind and the sizes it reads."""
+    out = {"kind": desc.kind}
+    for size in fields(desc):
+        value = getattr(desc, size.name)
+        out[size.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def load_descriptor(data: dict) -> RBAlgebraDescriptor:
@@ -223,9 +224,11 @@ def load_descriptor(data: dict) -> RBAlgebraDescriptor:
     if Fraction(data.get("weight", -1)) != -1:
         # every kind carries the weight -1 polar splitting
         raise PreconditionError("descriptor weight must be -1")
-    return RBAlgebraDescriptor(
-        data["kind"], data.get("divisors"), data.get("ambient", 0), data.get("coeff_vars", ())
-    )
+    kind = KINDS.get(data["kind"])
+    if kind is None:
+        raise PreconditionError(f"unknown algebra kind {data['kind']!r}")
+    # a size the kind does not read is ignored
+    return kind(**{size.name: data[size.name] for size in fields(kind) if size.name in data})
 
 
 # each element type, the type of desc.zero(): (dump(x, desc), table, read(data, ctx))
@@ -344,7 +347,13 @@ def load_character(data: dict, reg=None):
 
     _walk(data, _CHARACTER, "the character")
     target = load_descriptor(data["target"])
-    if data.get("rule") == "pole_power":
+    if "rule" in data:
+        if data["rule"] != "pole_power":
+            raise PreconditionError(
+                f'the character\'s "rule" must be "pole_power", got {json.dumps(data["rule"])}'
+            )
+        if "values" in data:
+            raise PreconditionError('the character\'s "values" cannot go with its "rule"')
         if reg is None:
             raise PreconditionError("the pole_power rule needs a generator registry")
         if not isinstance(target.zero(), LaurentPoly):

@@ -365,7 +365,7 @@ def test_criterion_12_residue_properties():
         for _ in range(rng.randint(1, 3)):
             subset = rng.choice(single_dlog_subsets)
             single = single + ExteriorElement(
-                gens, {subset: desc._algebra.random_coeff(rng)}
+                gens, {subset: desc.random_coeff(rng)}
             )
         for j in (1, 2):
             ok = ok and residue(desc, desc.T(single), j) == residue(desc, single, j)

@@ -322,6 +322,12 @@ def _bad_input(result, field):
     assert field in result.payload["error"]["message"]
 
 
+def _refused(result, field):
+    assert result.status == 1
+    assert result.payload["error"]["code"] == "precondition"
+    assert field in result.payload["error"]["message"]
+
+
 @pytest.mark.parametrize(
     "lib, field",
     [([], "library"), ({"graphs": []}, '"graphs"'), ({"graphs": {"B": []}}, "'B'")],
@@ -437,6 +443,42 @@ def test_character_c_must_be_a_rational(tmp_path, library_file):
     )
     argv = ["birkhoff", "factorize", "B", "--character", str(char), "--library", library_file]
     _bad_input(run(argv), 'the character\'s "c"')
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        # a typo: used to fail later with missing-character-value
+        ({"rule": "pole-power"}, '"rule"'),
+        # used to be ignored, as if there were no rule
+        ({"rule": "nonsense", "values": {"B": "VALUE"}}, '"rule"'),
+        # the values used to be dropped without a word
+        ({"rule": "pole_power", "values": {"B": "VALUE"}}, '"values"'),
+    ],
+    ids=["rule-typo", "unknown-rule", "rule-with-values"],
+)
+def test_character_rule_is_pole_power_alone(tmp_path, library_file, extra, field):
+    value = serde.dump_laurent(parse_laurent("7*z^-5", ("z",), ()))
+    data = {"target": {"kind": "laurent_ms"}, **extra}
+    if "values" in data:
+        data["values"] = {"B": value}
+    char = tmp_path / "char.json"
+    char.write_text(json.dumps(data))
+    argv = ["birkhoff", "factorize", "B", "--character", str(char), "--library", library_file]
+    _refused(run(argv), field)
+
+
+def test_negative_descriptor_sizes_are_refused(tmp_path):
+    """Both used to load, and rb t exited 0."""
+    algebra = _json_file(tmp_path, {"kind": "nc_log_form", "divisors": -1, "ambient": -3})
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps({"terms": [], "gens": [], "dist": [], "vars": []}))
+    _refused(run(["rb", "t", str(element), "--algebra", algebra]), "divisors")
+
+
+def test_rb_sweep_refuses_a_negative_pair_count():
+    """Used to exit 0 with "pairs": -3 and "all_zero": true."""
+    _refused(run(["rb", "sweep", "--kind", "laurent_ms", "--pairs", "-3"]), "pairs")
 
 
 @pytest.mark.parametrize(

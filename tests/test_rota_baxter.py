@@ -17,6 +17,7 @@ from rbren import (
     operator_defect,
     rb_defect,
     residue,
+    sweep,
 )
 from rbren import serde
 from rbren.poly import parse_laurent, parse_poly
@@ -359,3 +360,27 @@ def test_residue_T_compatibility_randomized():
             dlog = desc.form(((f"dlog{j}",), "1"))
             total = total + dlog * residue(desc, omega, j)
         assert total == desc.T(omega)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RBAlgebraDescriptor.nc_log(-2, 3),
+        lambda: RBAlgebraDescriptor.nc_log(2, -1),
+        lambda: RBAlgebraDescriptor.merom(-1),
+        lambda: RBAlgebraDescriptor.smooth_log(-1),
+        lambda: RBAlgebraDescriptor.saito(-1),
+    ],
+    ids=["nc-log-divisors", "nc-log-ambient", "merom", "smooth-log", "saito"],
+)
+def test_negative_sizes_are_refused(build):
+    """nc_log(-2, 3) used to build, with generators dx1..dx3."""
+    with pytest.raises(PreconditionError, match="must be >= 0"):
+        build()
+
+
+def test_sweep_refuses_a_negative_pair_count():
+    """-3 pairs used to report no failures."""
+    with pytest.raises(PreconditionError, match="pairs"):
+        sweep(SWEEP_DESCRIPTORS["laurent_ms"], -3, 0)
+    assert sweep(SWEEP_DESCRIPTORS["laurent_ms"], 0, 0) == (0, 0)

@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,6 +27,21 @@ def test_rb_identity_sweep_script():
     for line in lines[1:]:
         fields = line.split()
         assert fields[2] == "0" and fields[3] == "0"
+
+
+@pytest.mark.parametrize("failures", [(1, 0), (0, 1)], ids=["rb", "law"])
+def test_rb_identity_sweep_script_exits_1_on_a_failure(monkeypatch, failures):
+    """It used to exit 0 whatever it found."""
+    spec = importlib.util.spec_from_file_location(
+        "rb_identity_sweep", ROOT / "scripts" / "rb_identity_sweep.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["rb_identity_sweep.py", "--pairs", "1"])
+    assert script.main() == 0
+    monkeypatch.setattr(script, "sweep", lambda desc, pairs, seed: failures)
+    assert script.main() == 1
 
 
 def test_renormalize_demo_script():

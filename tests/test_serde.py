@@ -20,6 +20,7 @@ from rbren import (
     RbrenError,
     SWEEP_DESCRIPTORS,
     TensorElement,
+    convolve,
     sigma_arrangement,
 )
 from rbren import serde
@@ -77,6 +78,42 @@ def test_one_divisor_kinds_read_an_omitted_count_as_one():
         for divisors in (0, 2):
             with pytest.raises(PreconditionError, match="exactly one divisor"):
                 serde.load_descriptor({"kind": kind, "divisors": divisors, "ambient": 2})
+
+
+# the four-field dict the earlier dump wrote for each constructor's descriptor
+EARLIER_DUMPS = [
+    ({"kind": "laurent_ms", "divisors": 0, "ambient": 0, "coeff_vars": ["c"]},
+     RBAlgebraDescriptor.laurent_ms(coeff_vars=("c",))),
+    ({"kind": "merom_form", "divisors": 1, "ambient": 4, "coeff_vars": []},
+     RBAlgebraDescriptor.merom(4)),
+    ({"kind": "nc_log_form", "divisors": 2, "ambient": 3, "coeff_vars": []},
+     RBAlgebraDescriptor.nc_log(2, 3)),
+    ({"kind": "smooth_log_form", "divisors": 1, "ambient": 2, "coeff_vars": []},
+     RBAlgebraDescriptor.smooth_log(2)),
+    ({"kind": "saito_form", "divisors": 0, "ambient": 3, "coeff_vars": []},
+     RBAlgebraDescriptor.saito(3)),
+]
+
+
+@pytest.mark.parametrize("data, desc", EARLIER_DUMPS, ids=[d["kind"] for d, _ in EARLIER_DUMPS])
+def test_earlier_four_field_dumps_load_to_equal_descriptors(data, desc):
+    loaded = serde.load_descriptor(data)
+    assert loaded == desc and hash(loaded) == hash(desc)
+    assert serde.dump_descriptor(loaded) == {k: v for k, v in data.items() if hasattr(desc, k)}
+
+
+def test_sizes_a_kind_does_not_read_are_ignored(library_registry):
+    """Each used to be stored and compared, so one algebra had unequal
+    descriptors and convolve refused two characters over it."""
+    unread = {"kind": "laurent_ms", "divisors": 5, "ambient": 3}
+    assert serde.load_descriptor(unread) == RBAlgebraDescriptor.laurent_ms()
+    saito = serde.load_descriptor({"kind": "saito_form", "divisors": 4, "ambient": 2})
+    assert saito == RBAlgebraDescriptor.saito(2)
+    values = {"B": serde.dump_laurent(parse_laurent("z^-1", ("z",), ()))}
+    phi1 = serde.load_character({"target": unread, "values": values}, library_registry)
+    phi2 = serde.load_character({"target": {"kind": "laurent_ms"}, "values": values},
+                                library_registry)
+    assert convolve(phi1, phi2, "B", library_registry) == 2 * phi1("B")
 
 
 def test_graph_round_trip():

@@ -307,14 +307,20 @@ def test_benchmark_traced_operators_are_own_class_attributes():
 def test_benchmark_traced_algebra_operations_stay_in_place():
     """perfbench/tracing.py wraps RBAlgebraDescriptor's mul, add and T through
     ``RBAlgebraDescriptor.__dict__[attr]`` and finds rb_defect as the module
-    function ``rbren.rota_baxter.rb_defect``; moving any of them (into the
-    per-kind classes, a base class or another module) breaks the traced
-    benchmark run, so this guard fails first."""
+    function ``rbren.rota_baxter.rb_defect``. Each kind is a subclass of
+    RBAlgebraDescriptor: a kind that defined its own mul, add or T would
+    shadow the wrapped method, so its calls would go uncounted, and moving
+    any of them (into a kind, a base class or another module) breaks the
+    traced benchmark run, so this guard fails first."""
     import rbren
     from rbren import rota_baxter
 
+    assert rota_baxter.KINDS
     for attr in ("mul", "add", "T"):
         assert attr in rota_baxter.RBAlgebraDescriptor.__dict__
+        for kind in rota_baxter.KINDS.values():
+            assert issubclass(kind, rota_baxter.RBAlgebraDescriptor)
+            assert attr not in kind.__dict__, (kind.kind, attr)
     assert rbren.rota_baxter is rota_baxter
     assert rota_baxter.rb_defect.__module__ == "rbren.rota_baxter"
 

@@ -1,34 +1,39 @@
-"""Tiny exact linear algebra helpers over the rationals."""
+"""Tiny exact linear algebra helpers: fraction-free elimination on integer rows."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
-def echelon_insert(basis: list[list[Fraction]], row: Sequence) -> bool:
-    """Reduce ``row`` against an echelon basis; insert if independent.
+def integer_row(row: Sequence) -> list[int]:
+    """``row`` (ints or Fractions) scaled by the lcm of its entries'
+    denominators."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
-    The basis rows are kept with a leading 1 at their pivot.  Returns True
-    when the row was independent (basis grew).
-    """
-    row = [Fraction(x) for x in row]
-    for b in basis:
-        pivot = next(i for i, x in enumerate(b) if x)
-        if row[pivot]:
-            factor = row[pivot]
-            row = [x - factor * y for x, y in zip(row, b)]
-    for i, x in enumerate(row):
-        if x:
-            inv = Fraction(1) / x
-            basis.append([v * inv for v in row])
-            basis.sort(key=lambda b: next(i for i, v in enumerate(b) if v))
-            return True
-    return False
+
+def eliminate(row: list[int], pivot: int, by: list[int]) -> list[int]:
+    """``row * by[pivot] - row[pivot] * by`` divided by its content gcd: the
+    combination of the two rows that is zero at ``pivot``."""
+    c, a = by[pivot], row[pivot]
+    out = [x * c - a * y for x, y in zip(row, by)]
+    g = gcd(*out)
+    if g > 1:
+        out = [x // g for x in out]
+    return out
 
 
 def rational_rank(rows: Iterable[Sequence]) -> int:
-    basis: list[list[Fraction]] = []
+    """Rank over the rationals: each row is cleared of denominators and
+    eliminated against the (pivot, row) pairs kept so far."""
+    basis: list[tuple[int, list[int]]] = []
     for row in rows:
-        echelon_insert(basis, row)
+        v = integer_row(row)
+        for p, b in basis:
+            if v[p]:
+                v = eliminate(v, p, b)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            basis.append((pivot, v))
     return len(basis)

@@ -4,27 +4,31 @@ Covers the stock of classes needed around determinant hypersurface
 complements: projective spaces, GL_l via L^C(l,2) * prod (L^i - 1),
 Grassmannians as box-partition sums, the blowup formula
 [Bl_Y X] = [X] + sum_{k=1}^{codim-1} [Y] L^k, characteristic polynomials of
-central hyperplane arrangements by Whitney's subset expansion, projective
-arrangement classes [P^n] - chi(L)/(L-1), the matrix-coordinate divisor
-family indexed by (l, g), and a pole-order bound for the integrand pulled
-back through rank-stratum blowups.  An iterated-blowup class, such as that of
+central hyperplane arrangements as products over their direct summands of
+Whitney's no-broken-circuit sums (walked on integer rows, within
+``ARRANGEMENT_WORK_BOUND``), projective arrangement classes
+[P^n] - chi(L)/(L-1), the matrix-coordinate divisor family indexed by
+(l, g), and a pole-order bound for the integrand pulled back through
+rank-stratum blowups.  An iterated-blowup class, such as that of
 a GL_l compactification, is ``blowup_class`` of [P^{l^2}] with one
 ``BlowupStep`` per center the caller supplies.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from ._linalg import echelon_insert
+from ._linalg import eliminate, integer_row, rational_rank
 from ._terms import Terms
 from .errors import PreconditionError, SizeBoundError
+from .graphs import _union_find
 from .poly import parse_terms
 
-ARRANGEMENT_BOUND = 20
+ARRANGEMENT_WORK_BOUND = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -210,26 +214,89 @@ class Arrangement:
         object.__setattr__(self, "hyperplanes", tuple(planes))
 
 
-def char_poly(arr: Arrangement) -> LefschetzPolynomial:
-    """Whitney expansion chi(t) = sum_S (-1)^|S| t^(ambient - rank S) of the
-    central arrangement (exponential in the number of hyperplanes)."""
-    n = len(arr.hyperplanes)
-    if n > ARRANGEMENT_BOUND:
-        raise SizeBoundError(f"{n} hyperplanes exceed the bound {ARRANGEMENT_BOUND}")
-    coeffs: dict[int, int] = {}
+def _direct_summands(rows: list[list[int]]) -> list[list[list[int]]]:
+    """The rows grouped into direct summands, planes that share a coordinate
+    being joined, each summand in declared order and cut to the coordinates
+    its planes use; coordinates that no plane uses belong to no summand."""
+    owner: dict[int, int] = {}
+    joins = []
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                joins.append((i, owner.setdefault(j, i)))
+    root, _ = _union_find(len(rows), joins)
+    groups: dict[int, list[int]] = {}
+    for i, r in enumerate(root):
+        groups.setdefault(r, []).append(i)
+    summands = []
+    for members in groups.values():
+        columns = sorted({j for i in members for j, x in enumerate(rows[i]) if x})
+        summands.append([[rows[i][j] for j in columns] for i in members])
+    return summands
 
-    def walk(i: int, size: int, basis: list):
-        if i == n:
-            e = arr.ambient - len(basis)
-            coeffs[e] = coeffs.get(e, 0) + (-1 if size % 2 else 1)
+
+def _walk_bound(rows: list[list[int]]) -> int:
+    """(n + 1) * sum_{k <= r} C(n, k) for n planes of rank r: the nodes of
+    the pruned Whitney walk are pairs (depth, independent chosen set)."""
+    n = len(rows)
+    return (n + 1) * sum(math.comb(n, k) for k in range(rational_rank(rows) + 1))
+
+
+def _nbc_counts(rows: list[list[int]]) -> list[int]:
+    """counts[k] = number of k-subsets of the planes that contain no broken
+    circuit for the reversed order, so chi(t) = sum_k (-1)^k counts[k]
+    t^(columns - k) (Whitney's theorem).
+
+    The walk decides the planes in declared order, keeping the planes still
+    to decide eliminated against the chosen ones.  Once one of them lies in
+    the chosen span, choosing it or not gives the same rank in every
+    completion with opposite signs, so the whole subtree cancels and is cut.
+    """
+    counts = [0] * (len(rows) + 1)
+
+    def walk(chosen: int, rest: list[list[int]]):
+        if not rest:
+            counts[chosen] += 1
             return
-        walk(i + 1, size, basis)
-        extended = [row[:] for row in basis]
-        echelon_insert(extended, arr.hyperplanes[i])
-        walk(i + 1, size + 1, extended)
+        v, later = rest[0], rest[1:]
+        walk(chosen, later)
+        p = next(j for j, x in enumerate(v) if x)
+        reduced = []
+        for row in later:
+            if row[p]:
+                row = eliminate(row, p, v)
+                if not any(row):
+                    return
+            reduced.append(row)
+        walk(chosen + 1, reduced)
 
-    walk(0, 0, [])
-    return LefschetzPolynomial(coeffs)
+    walk(0, rows)
+    return counts
+
+
+def char_poly(arr: Arrangement) -> LefschetzPolynomial:
+    """chi(t) of the central arrangement: t^(coordinates no plane uses)
+    times the product over the direct summands of their no-broken-circuit
+    sums, each walked on integer rows (see ``_nbc_counts``).  The walks'
+    node bound, summed over the summands, is checked against
+    ``ARRANGEMENT_WORK_BOUND`` before any walk."""
+    rows = [integer_row(form) for form in arr.hyperplanes]
+    summands = _direct_summands(rows)
+    work = sum(_walk_bound(summand) for summand in summands)
+    if work > ARRANGEMENT_WORK_BOUND:
+        raise SizeBoundError(
+            f"the arrangement's walk bound {work} exceeds "
+            f"ARRANGEMENT_WORK_BOUND = {ARRANGEMENT_WORK_BOUND}"
+        )
+    used = sum(len(summand[0]) for summand in summands)
+    out = LefschetzPolynomial.lefschetz(arr.ambient - used)
+    for summand in summands:
+        columns = len(summand[0])
+        counts = _nbc_counts(summand)
+        out = out * LefschetzPolynomial(
+            {columns - k: (-1) ** k * c for k, c in enumerate(counts) if c}
+        )
+    return out
 
 
 def arrangement_class(arr: Arrangement) -> LefschetzPolynomial:

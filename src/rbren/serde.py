@@ -360,6 +360,8 @@ def load_character(data: dict, reg=None):
             raise PreconditionError("the pole_power rule targets laurent_ms")
         c = Fraction(data.get("c", 0))
         return pole_power_character(reg, c=c, coeff_vars=target.coeff_vars)
+    if "c" in data:
+        raise PreconditionError('the character\'s "c" goes only with its "rule"')
     values = {
         name: _element(target, element, f"the value of {name!r}")
         for name, element in data.get("values", {}).items()

@@ -3,8 +3,9 @@
 Everything here recomputes expected values from first principles with code
 paths disjoint from the library: subset enumeration for connectivity,
 divergent subgraphs, spanning trees, cut sets and the second Symanzik
-polynomial, Laplacian minors for tree counts, exhaustive finite-field point
-counting for class polynomials.  The library calls are
+polynomial, Laplacian minors for tree counts, Whitney's subset expansion for
+arrangement polynomials, exhaustive finite-field point counting for class
+polynomials.  The library calls are
 ``SubgraphSpec.from_edges``, which names each edge subset the divergence scan
 visits, and the ``MultiPoly`` constructor, which holds the polynomial
 oracles' terms.
@@ -222,6 +223,45 @@ def brute_divergent_subgraphs(g, dim: int, even_only: bool = False):
             if spec_is_divergent(g, spec, dim):
                 found.append(spec)
     return sorted(found, key=lambda s: (len(s.edges), _id_order(s.edges)))
+
+
+# -- arrangement oracles ------------------------------------------------------------
+
+
+def _echelon_insert(basis, form):
+    """``basis`` (pivot, Fraction row) pairs extended by ``form`` when it is
+    independent of them."""
+    row = [Fraction(c) for c in form]
+    for pivot, b in basis:
+        if row[pivot]:
+            factor = row[pivot] / b[pivot]
+            row = [x - factor * y for x, y in zip(row, b)]
+    pivot = next((i for i, x in enumerate(row) if x), None)
+    return basis if pivot is None else basis + [(pivot, row)]
+
+
+def fraction_rank(forms) -> int:
+    basis = []
+    for form in forms:
+        basis = _echelon_insert(basis, form)
+    return len(basis)
+
+
+def whitney_char_poly(ambient, forms) -> dict[int, int]:
+    """The 2^n subset walk chi(t) = sum_S (-1)^|S| t^(ambient - rank S), as
+    exponent -> coefficient, each rank by Fraction elimination."""
+    coeffs: dict[int, int] = {}
+
+    def walk(i, size, basis):
+        if i == len(forms):
+            e = ambient - len(basis)
+            coeffs[e] = coeffs.get(e, 0) + (-1) ** size
+            return
+        walk(i + 1, size, basis)
+        walk(i + 1, size + 1, _echelon_insert(basis, forms[i]))
+
+    walk(0, 0, [])
+    return {e: c for e, c in coeffs.items() if c}
 
 
 # -- finite-field oracles -----------------------------------------------------------

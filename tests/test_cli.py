@@ -454,8 +454,10 @@ def test_character_c_must_be_a_rational(tmp_path, library_file):
         ({"rule": "nonsense", "values": {"B": "VALUE"}}, '"rule"'),
         # the values used to be dropped without a word
         ({"rule": "pole_power", "values": {"B": "VALUE"}}, '"values"'),
+        # c used to be dropped without a word
+        ({"values": {"B": "VALUE"}, "c": "1/2"}, '"c"'),
     ],
-    ids=["rule-typo", "unknown-rule", "rule-with-values"],
+    ids=["rule-typo", "unknown-rule", "rule-with-values", "c-without-rule"],
 )
 def test_character_rule_is_pole_power_alone(tmp_path, library_file, extra, field):
     value = serde.dump_laurent(parse_laurent("7*z^-5", ("z",), ()))

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +21,7 @@ from rbren import (
     projective_class,
     sigma_arrangement,
 )
+from rbren import motives
 
 L = LefschetzPolynomial.lefschetz
 
@@ -101,14 +104,90 @@ def test_char_poly_boolean():
     assert char_poly(arr) == expected
 
 
-def test_char_poly_bound():
-    forms = tuple(
-        tuple(F(1) if i == j else F(0) for i in range(21)) + (F(1),) * 0
-        for j in range(21)
-    )
-    arr = Arrangement(21, forms)
-    with pytest.raises(SizeBoundError):
-        char_poly(arr)
+def test_char_poly_bound(monkeypatch):
+    """21 coordinate planes used to be refused (more than 20 planes); they
+    are 21 summands of one plane each.  A dense arrangement past the work
+    bound is refused before any walk."""
+    forms = tuple(tuple(F(int(i == j)) for i in range(21)) for j in range(21))
+    assert char_poly(Arrangement(21, forms)) == (L(1) - 1) ** 21
+    dense = Arrangement(12, _random_forms(random.Random("work bound"), 12, 60, range(-2, 3)))
+
+    def walk(rows):
+        raise AssertionError("walked an arrangement past the work bound")
+
+    monkeypatch.setattr(motives, "_nbc_counts", walk)
+    with pytest.raises(SizeBoundError, match=str(motives.ARRANGEMENT_WORK_BOUND)):
+        char_poly(dense)
+
+
+def _random_forms(rng, ambient, count, entries):
+    """``count`` pairwise non-proportional forms with entries drawn from
+    ``entries``."""
+    forms, normals = [], set()
+    while len(forms) < count:
+        form = tuple(F(rng.choice(entries)) for _ in range(ambient))
+        if not any(form):
+            continue
+        lead = next(c for c in form if c)
+        normal = tuple(c / lead for c in form)
+        if normal not in normals:
+            normals.add(normal)
+            forms.append(form)
+    return tuple(forms)
+
+
+# the forms in {-1, 0, 1}^3 whose first nonzero entry is 1: one per plane
+SMALL_FORMS = [
+    f for f in itertools.product((-1, 0, 1), repeat=3) if any(f) and next(filter(None, f)) == 1
+]
+
+
+def test_char_poly_matches_whitney_and_point_counts_exhaustively():
+    """Every arrangement of at most 6 of the 13 planes.  No minor of these
+    forms exceeds 4 in absolute value, so reduction mod 5 keeps the
+    intersection lattice and chi(5) counts the points of F_5^3 off the
+    planes."""
+    count = 0
+    for size in range(7):
+        for planes in itertools.combinations(SMALL_FORMS, size):
+            chi = char_poly(Arrangement(3, planes))
+            assert dict(chi.terms) == oracles.whitney_char_poly(3, planes), planes
+            on_planes = oracles.count_union_affine(planes, 5) if planes else 0
+            assert chi(5) == 5**3 - on_planes, planes
+            count += 1
+    assert count == 4096
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_char_poly_matches_whitney_on_random_arrangements(seed):
+    rng = random.Random(f"char_poly:{seed}")
+    ambient = rng.randint(4, 6)
+    forms = _random_forms(rng, ambient, rng.randint(8, 11), range(-2, 3))
+    expected = oracles.whitney_char_poly(ambient, forms)
+    assert dict(char_poly(Arrangement(ambient, forms)).terms) == expected
+
+
+def test_char_poly_matches_whitney_on_rational_entries():
+    entries = [F(0), F(1), F(-1, 2), F(2, 3), F(-3, 4), F(5, 6), F(7, 3)]
+    forms = _random_forms(random.Random("char_poly:rational"), 4, 9, entries)
+    assert any(c.denominator > 1 for form in forms for c in form)
+    expected = oracles.whitney_char_poly(4, forms)
+    assert dict(char_poly(Arrangement(4, forms)).terms) == expected
+
+
+@pytest.mark.parametrize("loops", range(1, 8))
+def test_char_poly_of_sigma_arrangements(loops):
+    """Each row-sum plane alone uses its diagonal entry, so the C(f, 2)
+    planes are independent and chi = t^(l^2 - C(f, 2)) (t - 1)^C(f, 2);
+    the subset walk checks the ones of at most 10 planes."""
+    for genus in range((loops + 1) // 2):
+        arr = sigma_arrangement(loops, genus)
+        n = len(arr.hyperplanes)
+        assert oracles.fraction_rank(arr.hyperplanes) == n
+        chi = char_poly(arr)
+        assert chi == L(loops * loops - n) * (L(1) - 1) ** n
+        if n <= 10:
+            assert dict(chi.terms) == oracles.whitney_char_poly(arr.ambient, arr.hyperplanes)
 
 
 def test_duplicate_hyperplane_rejected():

@@ -9,12 +9,12 @@ first in odd pairs and the change first in even ones, so a slow stretch of
 a shared host falls on both sides alike.  ``--workload`` may be repeated.
 The JSON file, rewritten after every pair, holds per workload and
 end-to-end metric (with its bound from ``BENCHMARK.json``) every pair's
-values, each side's median and quartiles, the parent's IQR/median, the
-pairs the change wins and a verdict:
+values, each side's median and quartiles and total of failed ops, the
+parent's IQR/median, the pairs the change wins and a verdict:
 
   better        the change wins 9 pairs in 10 (ties count for neither
-                side) and its median is better by more than the parent's
-                IQR
+                side), its median is better by more than the parent's IQR,
+                and it fails no more ops in total than the parent
   unresolved    otherwise, when the parent's IQR/median exceeds the bound
   worse         otherwise, when the change's median is worse by more than
                 the bound
@@ -55,10 +55,14 @@ def summary(pairs: list[dict], metric: dict) -> dict:
     change = [p["change"][name] for p in pairs]
     (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
     wins = sum(c > p if higher else c < p for p, c in zip(parent, change))
+    failed = {side: sum(p[f"{side}_failed"] for p in pairs) for side in ("parent", "change")}
     # the change's median relative to the parent's, positive when worse
     worse_by = (pm - cm if higher else cm - pm) / pm
     spread = (p3 - p1) / pm
-    if wins >= 0.9 * len(pairs) and worse_by < 0 and abs(cm - pm) > p3 - p1:
+    if (
+        wins >= 0.9 * len(pairs) and worse_by < 0 and abs(cm - pm) > p3 - p1
+        and failed["change"] <= failed["parent"]
+    ):
         verdict = "better"
     elif spread > bound:
         verdict = "unresolved"
@@ -69,6 +73,7 @@ def summary(pairs: list[dict], metric: dict) -> dict:
     return {
         "unit": metric["unit"], "better": metric["better"], "bound": bound,
         "parent": {"median": pm, "q1": p1, "q3": p3}, "change": {"median": cm, "q1": c1, "q3": c3},
+        "parent_failed": failed["parent"], "change_failed": failed["change"],
         "parent_iqr_over_median": spread, "change_worse_by": worse_by,
         "change_wins": wins, "pairs": len(pairs), "verdict": verdict,
     }

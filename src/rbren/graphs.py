@@ -147,51 +147,37 @@ def connected_components(g: FeynmanGraph) -> list[frozenset[VertexId]]:
 
 
 def is_connected(g: FeynmanGraph) -> bool:
-    return len(connected_components(g)) <= 1
+    _, joined = _union_find(len(g.vertices), g.ends)
+    return len(joined) >= len(g.vertices) - 1
 
 
 def loop_number(g: FeynmanGraph) -> int:
-    return len(g.internal_edges) - len(g.vertices) + len(connected_components(g))
+    return len(g.internal_edges) - len(_union_find(len(g.vertices), g.ends)[1])
 
 
-def _is_2_edge_connected(n: int, ends) -> bool:
-    """Connected and bridgeless, for the multigraph on vertices 0..n-1 with
-    edge i joining ends[i].
-
-    One iterative Tarjan lowlink search, O(n + edges).  A vertex steps back
-    only over the edge id it came by, so a parallel edge is a back edge and
-    a self-loop never lowers anything.
-    """
-    if n <= 1:
-        return True
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (a, b) in enumerate(ends):
-        adjacency[a].append((b, i))
-        adjacency[b].append((a, i))
-    disc = [-1] * n
-    low = [0] * n
-    disc[0] = 0
-    visited = 1
-    stack = [(0, -1, iter(adjacency[0]))]
-    while stack:
-        v, via, todo = stack[-1]
-        for w, i in todo:
-            if i == via:
-                continue
-            if disc[w] < 0:
-                disc[w] = low[w] = visited
-                visited += 1
-                stack.append((w, i, iter(adjacency[w])))
-                break
-            low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                if low[v] > disc[parent]:
-                    return False  # the edge ``via`` is a bridge
-                low[parent] = min(low[parent], low[v])
-    return visited == n
+def _spanning_tree(n: int, ends):
+    """The spanning tree that ``_union_find`` joins on 0..n-1, hung from
+    vertex 0: the chords (non-tree edge indices, in order) and each vertex's
+    parent, depth, edge up to its parent and sign of crossing that edge
+    upwards.  None when the graph is disconnected."""
+    _, joined = _union_find(n, ends)
+    if len(joined) < n - 1:
+        return None
+    tree: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i in joined:
+        a, b = ends[i]
+        tree[a].append((b, i))
+        tree[b].append((a, i))
+    parent, depth, up, sign = [0] * n, [0] * n, [0] * n, [0] * n
+    hung = [0] if n else []
+    for v in hung:
+        for w, i in tree[v]:
+            if w != parent[v]:
+                parent[w], depth[w], up[w] = v, depth[v] + 1, i
+                sign[w] = 1 if ends[i][0] == w else -1
+                hung.append(w)
+    chords = sorted(set(range(len(ends))) - set(joined))
+    return chords, parent, depth, up, sign
 
 
 def edge_connectivity(g: FeynmanGraph) -> int | float:
@@ -235,9 +221,24 @@ def edge_connectivity(g: FeynmanGraph) -> int | float:
 
 
 def is_1pi(g: FeynmanGraph) -> bool:
-    """One-particle-irreducible: connected and bridgeless (2-edge-connected),
-    by one linear-time lowlink search."""
-    return _is_2_edge_connected(len(g.vertices), g.ends)
+    """One-particle-irreducible: connected and bridgeless.  A bridge is a
+    spanning-tree edge on no chord's fundamental cycle, so each chord marks
+    the edges up from the vertices of its tree path (a self-loop marks none,
+    a parallel edge its twin)."""
+    n = len(g.vertices)
+    tree = _spanning_tree(n, g.ends)
+    if tree is None:
+        return False
+    chords, parent, depth, _, _ = tree
+    covered = [False] * n
+    for i in chords:
+        a, b = g.ends[i]
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            covered[a] = True
+            a = parent[a]
+    return all(covered[1:])
 
 
 # -- spanning forests, trees and cut sets ---------------------------------------
@@ -260,7 +261,7 @@ def _spanning_forests(g: FeynmanGraph, k: int) -> list[tuple[int, list[int]]]:
     n = len(g.vertices)
     if n == 0:
         raise ValueError("a graph without vertices has no spanning forest")
-    if not _at_most_components(list(range(n)), n, ends, 1):
+    if not is_connected(g):
         raise DisconnectedError("spanning trees need a connected graph")
     forests: list[tuple[int, list[int]]] = []
     if n < k:
@@ -451,12 +452,13 @@ def divergent_subgraphs(
     An edge set whose components are all 1PI is exactly a union of circuits,
     so only those sets are visited: the union closure of the graph's circuits
     (self-loops, parallel pairs and simple cycles) as edge bitmasks, whose
-    components are bridgeless by construction.  Each candidate costs
-    near-linear integer work: union-find for its components, the superficial
-    degree dim * (E_c - V_c + 1) - 2 * E_c >= 0 of each component from its
-    edge and vertex counts, then one lowlink search and a valence count on
-    the contracted multigraph.  The total is O(U * (C + |E|)) for U unions
-    of C circuits, where a subset scan costs 2^|E| tests.
+    components are bridgeless by construction.  Their contractions are 1PI
+    exactly when the graph is, tested once.  Each candidate costs near-linear
+    integer work: union-find for its components, the superficial degree
+    dim * (E_c - V_c + 1) - 2 * E_c >= 0 of each component from its edge and
+    vertex counts, and a valence count on the contracted multigraph when the
+    graph declares valences.  The total is O(U * (C + |E|)) for U unions of C
+    circuits, where a subset scan costs 2^|E| tests.
     """
     ids = g.edge_ids()
     ends = g.ends
@@ -467,6 +469,11 @@ def divergent_subgraphs(
         verts = {g.vertices[v] for i in members for v in ends[i]}
         return SubgraphSpec(frozenset(ids[i] for i in members), frozenset(verts))
 
+    # g/gamma is 1PI iff g is: if g is bridgeless and e is not in gamma,
+    # g/gamma - e = (g - e)/gamma is connected; a bridge of g lies on no
+    # circuit, so it stays a bridge of g/gamma; a disconnected g stays so.
+    if not is_1pi(g):
+        return []
     found = []
     for mask in _circuit_unions(n, ends):
         members = tuple(i for i in range(len(ids)) if mask >> i & 1)
@@ -481,23 +488,16 @@ def divergent_subgraphs(
             for r, e in edges.items()
         ):
             continue
-        # the contraction: one vertex per root
-        label = {r: k for k, r in enumerate(dict.fromkeys(root))}
-        rest = [
-            (label[root[a]], label[root[b]])
-            for i, (a, b) in enumerate(ends)
-            if not mask >> i & 1
-        ]
-        if not _is_2_edge_connected(len(label), rest):
-            continue
         if g.valences is not None:
-            valence = [0] * len(label)
+            # the contraction's valences, one vertex per root
+            valence = [0] * n
             for v in range(n):
-                valence[label[root[v]]] += legs[v]
-            for a, b in rest:
-                valence[a] += 1
-                valence[b] += 1
-            if not all(val in g.valences for val in valence):
+                valence[root[v]] += legs[v]
+            for i, (a, b) in enumerate(ends):
+                if not mask >> i & 1:
+                    valence[root[a]] += 1
+                    valence[root[b]] += 1
+            if not all(valence[r] in g.valences for r in set(root)):
                 continue
         found.append(members)
     specs = [spec_of(members) for members in found]
@@ -546,26 +546,10 @@ def cycle_basis_matrix(g: FeynmanGraph) -> list[list[int]]:
     cycle of the k-th non-tree edge (in declared edge order).  Entries are
     +1, -1, 0 according to how the edge is traversed in the loop.
     """
-    n = len(g.vertices)
-    _, joined = _union_find(n, g.ends)
-    if len(joined) < n - 1:
+    tree = _spanning_tree(len(g.vertices), g.ends)
+    if tree is None:
         raise DisconnectedError("cycle basis needs a connected graph")
-    # hang the tree from vertex 0: each vertex's parent, depth, the edge up
-    # to its parent, and the sign of crossing that edge upwards
-    tree: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i in joined:
-        a, b = g.ends[i]
-        tree[a].append((b, i))
-        tree[b].append((a, i))
-    parent, depth, up, sign = [0] * n, [0] * n, [0] * n, [0] * n
-    hung = [0] if n else []
-    for v in hung:
-        for w, i in tree[v]:
-            if w != parent[v]:
-                parent[w], depth[w], up[w] = v, depth[v] + 1, i
-                sign[w] = 1 if g.ends[i][0] == w else -1
-                hung.append(w)
-    chords = sorted(set(range(len(g.ends))) - set(joined))
+    chords, parent, depth, up, sign = tree
     eta = [[0] * len(chords) for _ in g.ends]
     for k, i in enumerate(chords):
         eta[i][k] = 1

@@ -170,6 +170,20 @@ class GeneratorRegistry:
         one takes over as the primary name.  A name bound to a generator, or
         as an alias, is never rebound to a non-isomorphic graph.
         """
+        return self._register(name, graph, None)
+
+    def resolve(self, graph: FeynmanGraph) -> str:
+        """Primary name for the isomorphism class, auto-registering new ones."""
+        key = canonical_key(graph)
+        name = self._primary.get(key)
+        if name is not None:
+            return name
+        self._auto += 1
+        return self._register(f"!g{self._auto}", graph, key)
+
+    def _register(self, name: str, graph: FeynmanGraph, key: bytes | None) -> str:
+        """``register``, given the graph's canonical key when the caller has
+        already computed it."""
         if not is_1pi(graph):
             raise PreconditionError(f"generator {name!r} is not 1PI")
         if not graph.internal_edges:
@@ -178,7 +192,8 @@ class GeneratorRegistry:
             raise PreconditionError(
                 f"generator {name!r} has an odd number of internal edges"
             )
-        key = canonical_key(graph)
+        if key is None:
+            key = canonical_key(graph)
         bound = self._aliases.get(name, name)
         if bound in self._graphs and self._primary.get(key) != bound:
             raise PreconditionError(f"name {name!r} already bound to another graph")
@@ -199,15 +214,6 @@ class GeneratorRegistry:
         self._graphs[name] = graph
         self._primary[key] = name
         return name
-
-    def resolve(self, graph: FeynmanGraph) -> str:
-        """Primary name for the isomorphism class, auto-registering new ones."""
-        key = canonical_key(graph)
-        name = self._primary.get(key)
-        if name is not None:
-            return name
-        self._auto += 1
-        return self.register(f"!g{self._auto}", graph)
 
     def graph(self, name: str) -> FeynmanGraph:
         name = self._aliases.get(name, name)

@@ -198,18 +198,21 @@ class Arrangement:
 
     def __post_init__(self):
         planes = []
-        seen = []
+        seen = set()
         for form in self.hyperplanes:
             form = tuple(Fraction(c) for c in form)
             if len(form) != self.ambient:
                 raise PreconditionError("hyperplane length does not match ambient")
-            if all(c == 0 for c in form):
+            row = integer_row(form)
+            if not any(row):
                 raise PreconditionError("zero linear form")
-            lead = next(c for c in form if c)
-            normal = tuple(c / lead for c in form)
+            # a plane's key: its primitive integer row, first nonzero entry > 0
+            lead = next(x for x in row if x)
+            content = math.gcd(*row) if lead > 0 else -math.gcd(*row)
+            normal = tuple(x // content for x in row)
             if normal in seen:
                 raise PreconditionError("duplicate hyperplane rejected")
-            seen.append(normal)
+            seen.add(normal)
             planes.append(form)
         object.__setattr__(self, "hyperplanes", tuple(planes))
 

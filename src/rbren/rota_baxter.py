@@ -47,8 +47,9 @@ from .poly import LaurentPoly, MultiPoly, parse_laurent, parse_poly
 class SaitoForm:
     """(f, xi, eta) with gcd(f, h) = 1, representing (dlog(h)^xi + eta)/f.
 
-    xi is odd, eta is even, so the form itself is even.  Two triples are
-    equal iff they agree after cross-multiplication.
+    xi is odd, eta is even, so the form itself is even.  ``==`` compares
+    the triples structurally, so one form may be written by unequal
+    triples; ``SaitoAlgebra.eq`` compares the forms, by cross-multiplying.
     """
 
     denom: MultiPoly

@@ -35,6 +35,7 @@ from rbren import (
     divergent_subgraphs,
     edge_connectivity,
     is_1pi,
+    is_connected,
     loop_number,
     quotient,
     spanning_trees,
@@ -474,6 +475,46 @@ def test_edge_connectivity_matches_networkx_stoer_wagner():
     one_vertex = FeynmanGraph((0,), (("e0", 0, 0), ("e1", 0, 0)))
     assert edge_connectivity(one_vertex) == math.inf
     assert is_1pi(one_vertex)
+
+
+def test_connectivity_matches_networkx_on_random_multigraphs():
+    """Seeded random multigraphs on 1-10 vertices with self-loops, parallel
+    edges and isolated vertices, half of them grown from a spanning tree and
+    the rest often disconnected, against networkx's MultiGraph: is_1pi,
+    is_connected, loop_number = |E| - |V| + components, and
+    cycle_basis_matrix refusing exactly the disconnected graphs."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(21)
+    seen = {"1pi": 0, "bridged": 0, "disconnected": 0, "isolated": 0, "loop": 0, "parallel": 0}
+    for trial in range(400):
+        n = rng.randint(1, 10)
+        edges = [(v, rng.randrange(v)) for v in range(1, n)] if trial % 2 else []
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        rng.shuffle(edges)
+        g = FeynmanGraph(
+            tuple(range(n)), tuple((f"e{i}", a, b) for i, (a, b) in enumerate(edges))
+        )
+        multi = nx.MultiGraph()
+        multi.add_nodes_from(range(n))
+        multi.add_edges_from(edges)
+        connected = nx.is_connected(multi)
+        one_pi = connected and not nx.has_bridges(multi)
+        assert is_connected(g) == connected
+        assert is_1pi(g) == one_pi
+        assert loop_number(g) == len(edges) - n + nx.number_connected_components(multi)
+        if connected:
+            eta = cycle_basis_matrix(g)
+            assert all(len(row) == loop_number(g) for row in eta)
+        else:
+            with pytest.raises(DisconnectedError):
+                cycle_basis_matrix(g)
+        seen["1pi"] += one_pi
+        seen["bridged"] += connected and not one_pi
+        seen["disconnected"] += not connected
+        seen["isolated"] += any(multi.degree(v) == 0 for v in range(n)) and n > 1
+        seen["loop"] += any(a == b for a, b in edges)
+        seen["parallel"] += len({frozenset(e) for e in edges}) < len(edges)
+    assert min(seen.values()) >= 20, seen
 
 
 def with_legs(g, valences=None):

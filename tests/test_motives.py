@@ -191,10 +191,15 @@ def test_char_poly_of_sigma_arrangements(loops):
 
 
 def test_duplicate_hyperplane_rejected():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="duplicate"):
         Arrangement(2, ((F(1), F(0)), (F(2), F(0))))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="duplicate"):
+        Arrangement(2, ((F(-1, 2), F(0)), (F(1), F(0))))
+    with pytest.raises(PreconditionError, match="zero"):
         Arrangement(2, ((F(0), F(0)),))
+    # the same first entry, not proportional: two planes, kept as given
+    planes = ((F(1), F(2)), (F(1), F(3)))
+    assert Arrangement(2, planes).hyperplanes == planes
 
 
 def test_arrangement_class_single_hyperplane():

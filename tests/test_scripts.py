@@ -19,6 +19,15 @@ def run_script(*argv):
     )
 
 
+def load_script(monkeypatch, name):
+    """The module scripts/<name>.py; sys.path is restored afterwards."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_rb_identity_sweep_script():
     out = run_script("scripts/rb_identity_sweep.py", "--pairs", "10", "--seed", "4")
     assert out.returncode == 0, out.stderr
@@ -32,12 +41,7 @@ def test_rb_identity_sweep_script():
 @pytest.mark.parametrize("failures", [(1, 0), (0, 1)], ids=["rb", "law"])
 def test_rb_identity_sweep_script_exits_1_on_a_failure(monkeypatch, failures):
     """It used to exit 0 whatever it found."""
-    spec = importlib.util.spec_from_file_location(
-        "rb_identity_sweep", ROOT / "scripts" / "rb_identity_sweep.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec.loader.exec_module(script)
+    script = load_script(monkeypatch, "rb_identity_sweep")
     monkeypatch.setattr(sys, "argv", ["rb_identity_sweep.py", "--pairs", "1"])
     assert script.main() == 0
     monkeypatch.setattr(script, "sweep", lambda desc, pairs, seed: failures)
@@ -81,3 +85,24 @@ def test_bench_pairs_writes_every_metric_of_each_pair(tmp_path):
         assert summary["change"]["median"] == pair["change"][name]
         assert 0 <= summary["change_wins"] <= 1
         assert summary["verdict"] in ("unresolved", "worse", "better", "within bound")
+
+
+def test_bench_pairs_gain_needs_no_more_failed_ops(monkeypatch):
+    """A change that wins every pair but fails more ops is not better; it
+    used to be."""
+    script = load_script(monkeypatch, "bench_pairs")
+    metric = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+
+    def pairs(change_failed):
+        return [
+            {"parent": {"ops_per_s": 100.0 + k}, "change": {"ops_per_s": 200.0 + k},
+             "parent_failed": 1, "change_failed": change_failed}
+            for k in range(10)
+        ]
+
+    same = script.summary(pairs(1), metric)
+    assert same["verdict"] == "better"
+    assert (same["parent_failed"], same["change_failed"]) == (10, 10)
+    more = script.summary(pairs(2), metric)
+    assert more["change_wins"] == 10 and more["verdict"] != "better"
+    assert (more["parent_failed"], more["change_failed"]) == (10, 20)

@@ -34,7 +34,7 @@ from .hopf import (
     reduced_coproduct,
     reduced_coproduct_iterated,
 )
-from .poly import LaurentPoly, MultiPoly
+from .poly import LaurentPoly
 from .rota_baxter import RBAlgebraDescriptor
 
 def _product(target, value: Callable[[str], Any], mono: Monomial) -> Any:
@@ -114,11 +114,7 @@ def pole_power_character(
 
     def rule(name: str, graph: FeynmanGraph):
         power = max(superficial_degree(graph, reg.dim), 1)
-        one = MultiPoly.const(target.poly_vars(), 1)
-        terms = {(-power,): one}
-        if c:
-            terms[(0,)] = MultiPoly.const(target.poly_vars(), c)
-        return LaurentPoly(target.dist_vars(), target.poly_vars(), terms)
+        return LaurentPoly(target.dist_vars(), target.poly_vars(), {(-power,): 1, (0,): c})
 
     return Character(target, rule=rule, reg=reg)
 

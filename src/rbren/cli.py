@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from . import serde
@@ -213,13 +213,7 @@ def _cmd_symanzik(args) -> Any:
     if args.symanzik_cmd == "upsilon":
         return upsilon_embedding_tests(g)
     if args.symanzik_cmd == "eta":
-        spec = eta_form(g, args.dim)
-        return {
-            "numerator_exponent": spec.numerator_exponent,
-            "denominator_exponent": spec.denominator_exponent,
-            "form_degree": spec.form_degree,
-            "ambient_dim": spec.ambient_dim,
-        }
+        return asdict(eta_form(g, args.dim))
     raise PreconditionError(f"unknown symanzik command {args.symanzik_cmd!r}")
 
 
@@ -343,36 +337,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mot = sub.add_parser("motive", help="Grothendieck classes in Z[L]")
     m_sub = p_mot.add_subparsers(dest="motive_cmd", required=True)
-    p = m_sub.add_parser("gl")
-    p.add_argument("l", type=int)
-    p = m_sub.add_parser("grass")
-    p.add_argument("d", type=int)
-    p.add_argument("n", type=int)
-    p = m_sub.add_parser("projective")
-    p.add_argument("n", type=int)
-    p = m_sub.add_parser("arrangement")
-    p.add_argument("file")
-    p = m_sub.add_parser("sigma")
-    p.add_argument("l", type=int)
-    p.add_argument("g", type=int)
-    p = m_sub.add_parser("pole-bound")
-    p.add_argument("n", type=int)
-    p.add_argument("l", type=int)
-    p.add_argument("dim", type=int)
+    # each command and its positional arguments; "file" is a path, the rest ints
+    for name, args in (("gl", "l"), ("grass", "d n"), ("projective", "n"), ("arrangement", "file"),
+                       ("sigma", "l g"), ("pole-bound", "n l dim")):
+        p = m_sub.add_parser(name)
+        for arg in args.split():
+            p.add_argument(arg, type=str if arg == "file" else int)
 
     p_rb = sub.add_parser("rb", help="Rota-Baxter operators on forms")
     r_sub = p_rb.add_subparsers(dest="rb_cmd", required=True)
-    p = r_sub.add_parser("t")
-    p.add_argument("element")
-    p.add_argument("--algebra", required=True)
-    p = r_sub.add_parser("defect")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--algebra", required=True)
-    p = r_sub.add_parser("residue")
-    p.add_argument("element")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--index", type=int, action="append", required=True)
+    for name, args in (("t", "element"), ("defect", "x y"), ("residue", "element")):
+        p = r_sub.add_parser(name)
+        for arg in args.split():
+            p.add_argument(arg)
+        p.add_argument("--algebra", required=True)
+    p.add_argument("--index", type=int, action="append", required=True)  # residue's
     p = r_sub.add_parser("sweep")
     p.add_argument("--kind", required=True)
     p.add_argument("--pairs", type=int, default=100)

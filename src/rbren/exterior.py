@@ -8,7 +8,8 @@ follows the Koszul sign rule; elements of even degree commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from numbers import Rational
 from typing import Iterable, Mapping
 
@@ -24,18 +25,22 @@ def merge_sign(a: Subset, b: Subset) -> tuple[Subset, int]:
 
     Returns sign 0 when the tuples overlap (wedge of a repeated generator).
     """
-    if set(a) & set(b):
-        return (), 0
+    if not a or not b:
+        return a or b, 1
     inversions = 0
     for j in b:
-        inversions += sum(1 for i in a if i > j)
+        # the entries of a above j
+        k = bisect_left(a, j)
+        if k < len(a) and a[k] == j:
+            return (), 0
+        inversions += len(a) - k
     return tuple(sorted(a + b)), (-1 if inversions % 2 else 1)
 
 
 @dataclass(frozen=True)
 class ExteriorElement(Terms):
     gens: tuple[str, ...]
-    terms: Mapping[Subset, LaurentPoly]
+    terms: Mapping[Subset, LaurentPoly] = field()
 
     _context = ("gens",)
     _scalars = (Rational, LaurentPoly, MultiPoly)
@@ -96,16 +101,15 @@ class ExteriorElement(Terms):
             return Terms.__mul__(self, other)
         self._check(other)
         out: dict[Subset, LaurentPoly] = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
+        for s1, c1 in self._t.items():
+            for s2, c2 in other._t.items():
                 merged, sign = merge_sign(s1, s2)
-                if sign == 0:
-                    continue
-                contrib = c1 * c2 if sign == 1 else -(c1 * c2)
-                if merged in out:
-                    out[merged] = out[merged] + contrib
-                else:
-                    out[merged] = contrib
+                if sign:
+                    p, prev = c1 * c2, out.get(merged)
+                    if prev is None:
+                        out[merged] = p if sign > 0 else -p
+                    else:
+                        out[merged] = prev + p if sign > 0 else prev - p
         return self._like(out)
 
     # -- degree structure ---------------------------------------------------

@@ -13,7 +13,7 @@ locking, so it is not safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping
@@ -44,7 +44,7 @@ def _merge_words(w1: tuple[Monomial, ...], w2: tuple[Monomial, ...]):
 
 @dataclass(frozen=True)
 class HopfElement(Terms):
-    terms: Mapping[Monomial, Fraction]
+    terms: Mapping[Monomial, Fraction] = field()
 
     _scalars = (Rational,)
     _join = staticmethod(_merge)
@@ -98,7 +98,7 @@ class TensorElement(Terms):
     """Element of the ``legs``-fold tensor power of the Hopf algebra."""
 
     legs: int
-    terms: Mapping[tuple[Monomial, ...], Fraction]
+    terms: Mapping[tuple[Monomial, ...], Fraction] = field()
 
     _context = ("legs",)
     _scalars = (Rational,)
@@ -270,15 +270,20 @@ class GeneratorRegistry:
         return result
 
 
-def coproduct(x: HopfElement, reg: GeneratorRegistry) -> TensorElement:
-    """Algebra-homomorphism extension of the generator coproduct."""
-    total = TensorElement.zero(2)
+def _multiplicative(x: HopfElement, unit, gen):
+    """The algebra map with unit ``unit`` that sends a generator by ``gen``."""
+    total = unit.zero_like()
     for mono, coeff in x.terms.items():
-        part = TensorElement.word(((), ()), 1)
+        part = unit
         for name in mono:
-            part = part * reg.coproduct_gen(name)
+            part = part * gen(name)
         total = total + coeff * part
     return total
+
+
+def coproduct(x: HopfElement, reg: GeneratorRegistry) -> TensorElement:
+    """Algebra-homomorphism extension of the generator coproduct."""
+    return _multiplicative(x, TensorElement.word(((), ()), 1), reg.coproduct_gen)
 
 
 def reduced_coproduct(x: HopfElement, reg: GeneratorRegistry) -> TensorElement:
@@ -317,10 +322,4 @@ def reduced_coproduct_iterated(
 
 
 def antipode(x: HopfElement, reg: GeneratorRegistry) -> HopfElement:
-    total = HopfElement.zero()
-    for mono, coeff in x.terms.items():
-        part = HopfElement.unit(1)
-        for name in mono:
-            part = part * reg.antipode_gen(name)
-        total = total + coeff * part
-    return total
+    return _multiplicative(x, HopfElement.unit(1), reg.antipode_gen)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -35,7 +35,7 @@ ARRANGEMENT_WORK_BOUND = 10_000_000
 class LefschetzPolynomial(Terms):
     """Sparse integer polynomial in one symbol (printed as L by default)."""
 
-    terms: Mapping[int, int]
+    terms: Mapping[int, int] = field()
 
     _scalars = (int,)
     _join = staticmethod(operator.add)

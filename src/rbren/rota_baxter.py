@@ -40,7 +40,7 @@ from typing import Callable, ClassVar, Iterable
 
 from .errors import ContextError, InvariantError, PreconditionError
 from .exterior import ExteriorElement
-from .poly import LaurentPoly, MultiPoly, parse_laurent, parse_poly
+from .poly import LaurentPoly, MultiPoly, _fieldwise, _keys, parse_laurent, parse_poly
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,20 @@ def _random_poly(rng, variables, hfree=False) -> MultiPoly:
         exps = [rng.randint(0, 2) if rng.random() < 0.5 else 0 for _ in variables]
         if hfree:
             exps[variables.index("h")] = 0
-        coeff = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 1, 2]))
+        # a coefficient in {-2, -1, 1, 2} / {1, 2}, as a numerator over 2
+        half = rng.choice([-2, -1, 1, 2]) * (2 // rng.choice([1, 1, 2]))
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return MultiPoly(variables, terms)
+        terms[key] = terms.get(key, 0) + half
+    keys = _keys(terms, variables, False)
+    return MultiPoly._make(dict(zip(keys, terms.values())), variables, d=2)
+
+
+def _random_form(gens, draws) -> ExteriorElement:
+    """The sum of the seeded (subset, coefficient) ``draws``."""
+    terms = {}
+    for subset, coeff in draws:
+        terms[subset] = terms[subset] + coeff if subset in terms else coeff
+    return ExteriorElement(gens, terms)
 
 
 # -- the descriptor and one subclass per kind -------------------------------------
@@ -174,7 +184,7 @@ class RBAlgebraDescriptor:
         return -x
 
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        return x - y
 
     def scalar(self, c, x):
         return Fraction(c) * x
@@ -218,11 +228,8 @@ class RBAlgebraDescriptor:
         gens = self.gens()
         sizes = [d for d in range(len(gens) + 1) if d % 2 == 0 or not even]
         subsets = [s for d in sizes for s in itertools.combinations(range(len(gens)), d)]
-        total = ExteriorElement.zero(gens)
-        for _ in range(rng.randint(1, 3)):
-            subset = rng.choice(subsets)
-            total = total + ExteriorElement(gens, {subset: self.random_coeff(rng)})
-        return total
+        draws = range(rng.randint(1, 3))
+        return _random_form(gens, ((rng.choice(subsets), self.random_coeff(rng)) for _ in draws))
 
 
 def _single_divisor(desc: RBAlgebraDescriptor) -> None:
@@ -351,6 +358,9 @@ class SaitoAlgebra(RBAlgebraDescriptor):
     def neg(self, x):
         return SaitoForm(x.denom, -x.xi, -x.eta)
 
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
     def scalar(self, c, x):
         c = Fraction(c)
         return SaitoForm(x.denom, c * x.xi, c * x.eta)
@@ -374,39 +384,31 @@ class SaitoAlgebra(RBAlgebraDescriptor):
     def reduce(self, denom, xi, eta) -> SaitoForm:
         if denom.is_zero():
             raise InvariantError("zero denominator in a Saito triple")
-        # h is the first variable
-        if all(e[0] > 0 for e in denom.terms):
+        # h is the first variable, so the least key has the least h exponent
+        if denom._exps(min(denom._t))[0]:
             raise InvariantError("denominator shares the divisor h")
         for part, parity in ((xi, 1), (eta, 0)):
-            if any(len(s) % 2 != parity for s in part.terms):
+            if any(len(s) % 2 != parity for s in part._t):
                 raise PreconditionError("Saito slots must have odd/even parity")
-        # pull out the common rational content and a common monomial factor
-        # (coefficients of Saito slots are plain polynomials), in one pass
-        polys = [denom] + [_laurent_to_poly(c) for part in (xi, eta) for c in part.terms.values()]
-        num, den, keys = 0, 1, []
-        for p in polys:
-            keys += p.terms
-            for c in p.terms.values():
-                num = gcd(num, c.numerator)
-                den = lcm(den, c.denominator)
-        shift = tuple(map(min, zip(*keys)))
-        # num/den is in lowest terms (a prime of num divides no coefficient's
-        # denominator), so the content is 1 only when num == den == 1
-        if num == den == 1 and not any(shift):
+        # the slot coefficients are polynomials in the variables of denom,
+        # packed alike
+        polys = [denom, *xi._t.values(), *eta._t.values()]
+        if any(p.dist for p in polys):
+            raise ContextError("expected a plain polynomial coefficient")
+        # divide out the common rational content num/den and the common monomial
+        num = gcd(*[gcd(*p._t.values()) for p in polys])
+        den = lcm(*[p._d for p in polys])
+        shift = _fieldwise(itertools.chain(*[p._t for p in polys]), denom._layout()[2], low=True)
+        if num == den == 1 and not shift:
             return SaitoForm(denom, xi, eta)
-        scale = Fraction(num, den)
 
-        def reduce_poly(p: MultiPoly) -> MultiPoly:
-            # a constant shift keeps the key order and a nonzero divisor
-            # leaves no zero coefficient
-            terms = {tuple(map(operator.sub, e, shift)): c / scale for e, c in p.terms.items()}
-            return p._like(terms, ordered=True)
+        def divide(p):
+            # num divides every numerator and p._d divides den: what is left
+            # is integral and primitive
+            t = {k - shift: c // num * (den // p._d) for k, c in p._t.items()}
+            return p._like(t, ordered=True)
 
-        return SaitoForm(
-            reduce_poly(denom),
-            xi.map_coeffs(lambda c: c.map_coeffs(reduce_poly)),
-            eta.map_coeffs(lambda c: c.map_coeffs(reduce_poly)),
-        )
+        return SaitoForm(divide(denom), xi.map_coeffs(divide), eta.map_coeffs(divide))
 
     def random_element(self, rng: random.Random, even: bool = True):
         variables = self.poly_vars()
@@ -421,13 +423,9 @@ class SaitoAlgebra(RBAlgebraDescriptor):
         n = len(gens)
         odd = [s for d in range(1, n + 1, 2) for s in itertools.combinations(range(n), d)]
         even = [s for d in range(0, n + 1, 2) for s in itertools.combinations(range(n), d)]
-        xi = ExteriorElement.zero(gens)
-        eta = ExteriorElement.zero(gens)
         plain = lambda: LaurentPoly.from_poly(_random_poly(rng, variables))
-        for _ in range(rng.randint(0, 2)):
-            xi = xi + ExteriorElement(gens, {rng.choice(odd): plain()})
-        for _ in range(rng.randint(0, 2)):
-            eta = eta + ExteriorElement(gens, {rng.choice(even): plain()})
+        xi = _random_form(gens, ((rng.choice(odd), plain()) for _ in range(rng.randint(0, 2))))
+        eta = _random_form(gens, ((rng.choice(even), plain()) for _ in range(rng.randint(0, 2))))
         return self.reduce(denom, xi, eta)
 
 
@@ -439,14 +437,9 @@ KINDS = {
 
 
 def _times(m: MultiPoly | None, part: ExteriorElement) -> ExteriorElement:
-    """m * part, with None standing for the multiplier 1."""
-    return part if m is None else m * part
-
-
-def _laurent_to_poly(c: LaurentPoly) -> MultiPoly:
-    if c.dist:
-        raise ContextError("expected a plain polynomial coefficient")
-    return c.terms.get((), MultiPoly.zero(c.variables))
+    """m * part, with None standing for the multiplier 1; m is made a
+    coefficient once, not once per term."""
+    return part if m is None else LaurentPoly.from_poly(m) * part
 
 
 # -- seeded sweeps: one descriptor per kind and the laws each kind obeys -----------
@@ -503,13 +496,12 @@ def sweep(desc: RBAlgebraDescriptor, pairs: int, seed: int) -> tuple[int, int]:
 def rb_defect(desc: RBAlgebraDescriptor, x, y):
     """T(x)T(y) - T(xT(y)) - T(T(x)y) + T(xy); zero certifies the weight -1
     Rota-Baxter identity on the pair."""
-    T = desc.T
-    mul = desc.mul
-    out = mul(T(x), T(y))
-    out = desc.sub(out, T(mul(x, T(y))))
-    out = desc.sub(out, T(mul(T(x), y)))
-    out = desc.add(out, T(mul(x, y)))
-    return out
+    T, mul = desc.T, desc.mul
+    tx, ty = T(x), T(y)
+    out = mul(tx, ty)
+    out = desc.sub(out, T(mul(x, ty)))
+    out = desc.sub(out, T(mul(tx, y)))
+    return desc.add(out, T(mul(x, y)))
 
 
 def operator_defect(T: Callable, x, y):
@@ -528,22 +520,14 @@ def residue(desc: RBAlgebraDescriptor, x: ExteriorElement, j: int) -> ExteriorEl
         raise PreconditionError("residue is defined on log-form algebras")
     if not 1 <= j <= desc.divisors:
         raise PreconditionError(f"divisor index {j} out of range")
-    idx = j - 1
-    fname = f"f{j}"
     out = {}
     for subset, coeff in x.terms.items():
-        if idx not in subset:
-            continue
-        pos = subset.index(idx)
-        sign = -1 if pos % 2 else 1
-        rest = subset[:pos] + subset[pos + 1 :]
-        new_coeff = coeff.map_coeffs(lambda p: p.set_var_zero(fname))
-        if new_coeff.is_zero():
-            continue
-        out[rest] = out.get(rest, new_coeff.zero_like()) + (
-            new_coeff if sign == 1 else -new_coeff
-        )
-    return ExteriorElement(x.gens, {s: c for s, c in out.items() if not c.is_zero()})
+        if j - 1 in subset:
+            pos = subset.index(j - 1)
+            c = coeff.set_var_zero(f"f{j}")
+            rest = subset[:pos] + subset[pos + 1 :]
+            out[rest] = out.get(rest, c.zero_like()) + (-c if pos % 2 else c)
+    return ExteriorElement(x.gens, out)
 
 
 def iterated_residue(

@@ -60,12 +60,8 @@ def _cycle_matrix(g: FeynmanGraph, eta: list[list[int]]) -> list[list[MultiPoly]
     for k in range(loops):
         row = []
         for r in range(loops):
-            terms = {}
-            for i in range(n):
-                c = eta[i][k] * eta[i][r]
-                if c:
-                    exps = tuple(1 if j == i else 0 for j in range(n))
-                    terms[exps] = Fraction(c)
+            # sum_i eta_ik eta_ir t_i; the constructor drops the zero terms
+            terms = {tuple(int(j == i) for j in range(n)): eta[i][k] * eta[i][r] for i in range(n)}
             row.append(MultiPoly(variables, terms))
         matrix.append(row)
     return matrix

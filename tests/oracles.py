@@ -5,7 +5,8 @@ paths disjoint from the library: subset enumeration for connectivity,
 divergent subgraphs, spanning trees, cut sets and the second Symanzik
 polynomial, Laplacian minors for tree counts, Whitney's subset expansion for
 arrangement polynomials, exhaustive finite-field point counting for class
-polynomials.  The library calls are
+polynomials, and schoolbook arithmetic on plain {exponent tuple: Fraction}
+dicts for the packed polynomial kernel.  The library calls are
 ``SubgraphSpec.from_edges``, which names each edge subset the divergence scan
 visits, and the ``MultiPoly`` constructor, which holds the polynomial
 oracles' terms.
@@ -362,3 +363,51 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
+
+
+# -- polynomial arithmetic on plain {exponent tuple: Fraction} dicts -------------
+
+
+def terms_sum(*parts) -> dict:
+    """The sum of term dicts; zero coefficients dropped."""
+    out = {}
+    for terms in parts:
+        for exps, c in terms.items():
+            out[exps] = out.get(exps, Fraction(0)) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def terms_product(a, b) -> dict:
+    """The bilinear product: exponent tuples add, coefficients multiply."""
+    return terms_sum(
+        *(
+            {tuple(x + y for x, y in zip(e1, e2)): c1 * c2}
+            for e1, c1 in a.items()
+            for e2, c2 in b.items()
+        )
+    )
+
+
+def terms_value(terms, values) -> Fraction:
+    """The value at ``values``, one per exponent slot (no zero to a negative power)."""
+    total = Fraction(0)
+    for exps, c in terms.items():
+        for v, e in zip(values, exps):
+            c *= Fraction(v) ** e
+        total += c
+    return total
+
+
+def terms_render(names, terms) -> str:
+    """The compact rendering, descending lex: ``t1^2-t2^2``, ``5/6*x``."""
+    parts = []
+    for exps in sorted(terms, reverse=True):
+        c = terms[exps]
+        factors = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e)
+        if not factors:
+            parts.append(str(c))
+        elif abs(c) == 1:
+            parts.append(("-" if c < 0 else "") + factors)
+        else:
+            parts.append(f"{c}*{factors}")
+    return "+".join(parts).replace("+-", "-") or "0"

@@ -15,7 +15,9 @@ parent's IQR/median, the pairs the change wins and a verdict:
   better        the change wins 9 pairs in 10 (ties count for neither
                 side), its median is better by more than the parent's IQR,
                 and it fails no more ops in total than the parent
-  unresolved    otherwise, when the parent's IQR/median exceeds the bound
+  unresolved    otherwise, when the parent's IQR/median exceeds the bound,
+                unless every run of the change reads better than every run
+                of the parent and it fails no more ops in total
   worse         otherwise, when the change's median is worse by more than
                 the bound
   within bound  anything else
@@ -59,12 +61,13 @@ def summary(pairs: list[dict], metric: dict) -> dict:
     # the change's median relative to the parent's, positive when worse
     worse_by = (pm - cm if higher else cm - pm) / pm
     spread = (p3 - p1) / pm
+    dominates = min(change) > max(parent) if higher else max(change) < min(parent)
     if (
         wins >= 0.9 * len(pairs) and worse_by < 0 and abs(cm - pm) > p3 - p1
         and failed["change"] <= failed["parent"]
     ):
         verdict = "better"
-    elif spread > bound:
+    elif spread > bound and not (dominates and failed["change"] <= failed["parent"]):
         verdict = "unresolved"
     elif worse_by > bound:
         verdict = "worse"

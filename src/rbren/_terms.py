@@ -4,8 +4,10 @@ Every exact value in rbren is a sum of basis keys with nonzero coefficients:
 polynomials over exponent vectors, exterior forms over generator subsets,
 Hopf elements over monomials, tensors over words, classes over powers of L.
 ``Terms`` holds such a sum and its context and implements the linear
-operations and the canonical form once; each element type adds its per-term
-check, named constructors, queries and rendering.
+operations, the canonical form and, for the types with a unit, a scalar
+summand and powers once; each element type adds its per-term check, named
+constructors, queries and rendering.  ``_exact`` is the one check that a
+coefficient is exact.
 
 An element stores ``_t``, a dict from keys to nonzero numerators, over the
 common denominator ``_d``.  Most types keep whole coefficients over 1 in
@@ -16,13 +18,24 @@ least ``_d``, unordered; their ``terms`` is a view built on each access.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
 
-from .errors import ContextError
+from .errors import ContextError, PreconditionError
 
 # bypasses the frozen dataclass guard, as the dataclass's own __init__ does
 _set = object.__setattr__
+
+
+def _exact(c, what="coefficient"):
+    """``c`` as an int or Fraction; a float is refused, as its binary value is
+    seldom the number meant (0.1 is 3602879701896397/36028797018963968)."""
+    if c.__class__ is int or c.__class__ is Fraction:
+        return c
+    if isinstance(c, float):
+        raise PreconditionError(f"inexact {what} {c!r}: give an int, a Fraction or a string")
+    return Fraction(c)
 
 
 class Terms:
@@ -39,14 +52,17 @@ class Terms:
       _term           check of one term: (key, coeff) -> normalized pair
       _check_context  check of the context fields, which it stores normalized
 
-    An integral type supplies ``_over`` (the given terms checked and stored)
-    instead of ``_term``, ``_lift`` (a scalar as an element) and ``_fit``
-    (the checked keys of a product).
+    A type with a unit supplies ``_lift`` (a scalar as an element); then a
+    scalar summand is lifted, and ``**`` is defined.  An integral type
+    supplies ``_over`` (the given terms checked and stored) instead of
+    ``_term``, and ``_fit`` (the checked keys of a product); it scales by
+    multiplying with the lifted scalar.
     """
 
     _context: tuple[str, ...] = ()
     _scalars: tuple[type, ...] = ()
     _integral = False
+    _lift = None
 
     def _store(self, terms):  # the dataclass __init__ hands the terms over here
         _set(self, "_t", terms)
@@ -117,17 +133,22 @@ class Terms:
     # -- linear structure ------------------------------------------------------
 
     def __add__(self, other):
+        """Sum of two elements, or of an element and a lifted scalar."""
+        if other.__class__ is not self.__class__:
+            if self._lift is None or not isinstance(other, self._scalars):
+                return NotImplemented
+            other = self._lift(other)
         return self._plus(other, False)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         if other.__class__ is not self.__class__:
-            return self + (-other)  # a scalar, which the type's __add__ takes
+            return self + (-other)  # a scalar, which __add__ lifts
         return self._plus(other, True)
 
     def _plus(self, other, minus: bool):
-        """self + other, or self - other when ``minus``."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
+        """self + other, or self - other when ``minus``, of one class."""
         self._check(other)
         # values are immutable, so a sum with zero may share the other operand
         if not other._t:
@@ -179,6 +200,17 @@ class Terms:
 
     # a product of two elements always reaches __mul__, so only scalars get here
     __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        """The n-th power by repeated squaring; the lifted 1 when n is 0."""
+        if self._lift is None:
+            return NotImplemented
+        if n < 0:
+            raise PreconditionError(f"{type(self).__name__} has no negative powers")
+        if not n >> 1:  # n is 0 or 1; the shift refuses a non-integer n
+            return self if n else self._lift(1)
+        root = self ** (n >> 1)
+        return root * root * self if n & 1 else root * root
 
     def __bool__(self):
         return bool(self._t)

@@ -23,12 +23,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable
 
+from ._terms import _exact
 from .errors import MissingValueError, PreconditionError
 from .graphs import FeynmanGraph, superficial_degree
 from .hopf import (
     GeneratorRegistry,
     HopfElement,
     Monomial,
+    _product,
     antipode,
     coproduct,
     reduced_coproduct,
@@ -36,13 +38,6 @@ from .hopf import (
 )
 from .poly import LaurentPoly
 from .rota_baxter import RBAlgebraDescriptor
-
-def _product(target, value: Callable[[str], Any], mono: Monomial) -> Any:
-    """The product of value(name) over the factors of a monomial."""
-    out = target.one()
-    for name in mono:
-        out = target.mul(out, value(name))
-    return out
 
 
 class _LinearMap:
@@ -94,7 +89,7 @@ class Character(_LinearMap):
         raise MissingValueError(f"character has no value for generator {name!r}")
 
     def on_monomial(self, mono: Monomial) -> Any:
-        return _product(self.target, self.value, mono)
+        return _product(mono, self.value, self.target.mul, self.target.one)
 
     def __call__(self, x) -> Any:
         if isinstance(x, str):
@@ -110,7 +105,7 @@ def pole_power_character(
     """Toy rule phi(G) = z^-max(omega(G), 1) + c, with omega the superficial
     degree of divergence in the registry's dimension."""
     target = RBAlgebraDescriptor.laurent_ms(coeff_vars=coeff_vars)
-    c = Fraction(c)
+    c = _exact(c)
 
     def rule(name: str, graph: FeynmanGraph):
         power = max(superficial_degree(graph, reg.dim), 1)
@@ -178,7 +173,7 @@ def birkhoff_factorize(char: Character, reg: GeneratorRegistry, name: str):
         return char._parts[name]
     target = char.target
     minus_gen = lambda n: (char._parts.get(n) or birkhoff_factorize(char, reg, n))[0]
-    minus_of = lambda mono: _product(target, minus_gen, mono)
+    minus_of = lambda mono: _product(mono, minus_gen, target.mul, target.one)
     value = char.value(name)
     tensor = reduced_coproduct(HopfElement.gen(name), reg)
     arg = _pair(target, value, tensor, minus_of, char.on_monomial)

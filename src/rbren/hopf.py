@@ -13,12 +13,14 @@ locking, so it is not safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from numbers import Rational
 from typing import Mapping
 
-from ._terms import Terms
+from ._terms import Terms, _exact
 from .errors import PreconditionError, UnknownGeneratorError
 from .graphs import (
     FeynmanGraph,
@@ -42,6 +44,13 @@ def _merge_words(w1: tuple[Monomial, ...], w2: tuple[Monomial, ...]):
     return tuple([tuple(sorted(a + b)) for a, b in zip(w1, w2)])
 
 
+def _product(mono: Monomial, value, mul, one):
+    """The product under ``mul`` of value(name) over the factors of ``mono``,
+    from the first factor on; ``one()`` for the empty monomial.  An algebra
+    map is this on each monomial of its argument."""
+    return reduce(mul, map(value, mono)) if mono else one()
+
+
 @dataclass(frozen=True)
 class HopfElement(Terms):
     terms: Mapping[Monomial, Fraction] = field()
@@ -50,7 +59,8 @@ class HopfElement(Terms):
     _join = staticmethod(_merge)
 
     def _term(self, mono, coeff):
-        return tuple(sorted(mono)), coeff if coeff.__class__ is Fraction else Fraction(coeff)
+        c = coeff if coeff.__class__ is Fraction else Fraction(_exact(coeff))
+        return tuple(sorted(mono)), c
 
     @staticmethod
     def zero() -> "HopfElement":
@@ -58,22 +68,17 @@ class HopfElement(Terms):
 
     @staticmethod
     def unit(coeff=1) -> "HopfElement":
-        return HopfElement._make({(): Fraction(coeff)})
+        return HopfElement._make({(): Fraction(_exact(coeff))})
+
+    _lift = unit
 
     @staticmethod
     def gen(name: str, coeff=1) -> "HopfElement":
-        return HopfElement({(name,): Fraction(coeff)})
+        return HopfElement({(name,): coeff})
 
     @staticmethod
     def mono(names, coeff=1) -> "HopfElement":
-        return HopfElement({tuple(sorted(names)): Fraction(coeff)})
-
-    def __add__(self, other):
-        if isinstance(other, Rational):
-            other = HopfElement.unit(other)
-        return Terms.__add__(self, other)
-
-    __radd__ = __add__
+        return HopfElement({tuple(sorted(names)): coeff})
 
     def generators(self) -> set[str]:
         return {name for mono in self.terms for name in mono}
@@ -112,7 +117,7 @@ class TensorElement(Terms):
         word = tuple(tuple(sorted(m)) for m in word)
         if len(word) != self.legs:
             raise PreconditionError("tensor word has wrong number of legs")
-        return word, coeff if coeff.__class__ is Fraction else Fraction(coeff)
+        return word, coeff if coeff.__class__ is Fraction else Fraction(_exact(coeff))
 
     @staticmethod
     def zero(legs: int = 2) -> "TensorElement":
@@ -121,7 +126,7 @@ class TensorElement(Terms):
     @staticmethod
     def word(monomials, coeff=1) -> "TensorElement":
         word = tuple(tuple(sorted(m)) for m in monomials)
-        return TensorElement(len(word), {word: Fraction(coeff)})
+        return TensorElement(len(word), {word: coeff})
 
     def __str__(self):
         if not self.terms:
@@ -270,20 +275,19 @@ class GeneratorRegistry:
         return result
 
 
-def _multiplicative(x: HopfElement, unit, gen):
-    """The algebra map with unit ``unit`` that sends a generator by ``gen``."""
-    total = unit.zero_like()
+def _multiplicative(x: HopfElement, zero, one, gen):
+    """The algebra map that sends a generator by ``gen`` and 1 to ``one()``,
+    with ``zero`` the image of 0."""
+    total = zero
     for mono, coeff in x.terms.items():
-        part = unit
-        for name in mono:
-            part = part * gen(name)
-        total = total + coeff * part
+        total = total + coeff * _product(mono, gen, operator.mul, one)
     return total
 
 
 def coproduct(x: HopfElement, reg: GeneratorRegistry) -> TensorElement:
     """Algebra-homomorphism extension of the generator coproduct."""
-    return _multiplicative(x, TensorElement.word(((), ()), 1), reg.coproduct_gen)
+    one = lambda: TensorElement.word(((), ()))
+    return _multiplicative(x, TensorElement.zero(), one, reg.coproduct_gen)
 
 
 def reduced_coproduct(x: HopfElement, reg: GeneratorRegistry) -> TensorElement:
@@ -322,4 +326,4 @@ def reduced_coproduct_iterated(
 
 
 def antipode(x: HopfElement, reg: GeneratorRegistry) -> HopfElement:
-    return _multiplicative(x, HopfElement.unit(1), reg.antipode_gen)
+    return _multiplicative(x, HopfElement.zero(), HopfElement.unit, reg.antipode_gen)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from ._linalg import eliminate, integer_row, rational_rank
-from ._terms import Terms
+from ._terms import Terms, _exact
 from .errors import PreconditionError, SizeBoundError
 from .graphs import _union_find
 from .poly import parse_terms
@@ -41,10 +41,12 @@ class LefschetzPolynomial(Terms):
     _join = staticmethod(operator.add)
 
     def _term(self, e, c):
-        e, c = int(e), int(c)
+        e, c = _exact(e, "exponent"), _exact(c)
+        if e.denominator != 1 or c.denominator != 1:
+            raise PreconditionError(f"non-integer term {c}*L^{e} in a class polynomial")
         if e < 0:
             raise PreconditionError("negative exponent in a class polynomial")
-        return e, c
+        return int(e), int(c)
 
     @staticmethod
     def zero() -> "LefschetzPolynomial":
@@ -52,26 +54,13 @@ class LefschetzPolynomial(Terms):
 
     @staticmethod
     def const(c: int) -> "LefschetzPolynomial":
-        return LefschetzPolynomial._make({0: int(c)})
+        return LefschetzPolynomial({0: c})
+
+    _lift = const
 
     @staticmethod
     def lefschetz(power: int = 1) -> "LefschetzPolynomial":
-        return LefschetzPolynomial._make({power: 1})
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = LefschetzPolynomial.const(other)
-        return Terms.__add__(self, other)
-
-    __radd__ = __add__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise PreconditionError("a class polynomial has no negative powers")
-        out = LefschetzPolynomial.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return LefschetzPolynomial({power: 1})
 
     def degree(self) -> int:
         return max(self.terms, default=-1)

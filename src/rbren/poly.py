@@ -5,13 +5,15 @@
                  be negative; the coefficient of each distinguished monomial
                  is a MultiPoly in the ordinary variables.
 
-Both keep the integral form of ``Terms`` (see ``_Packed``).  Their ``terms``
-is a view built on each access, in sorted key order: exponent tuples to
-Fraction coefficients for a MultiPoly, distinguished exponent tuples to
-MultiPoly coefficients for a LaurentPoly.  Printing is descending lex in the
-declared variable sequence, e.g. ``t1*t2+t1*t3+t2*t3`` or ``3*z^-2-z^-1+z^3``.
-Values are immutable and all operations pure, so they can be shared freely
-across threads.
+Both keep the integral form of ``Terms`` (see ``_Packed``), which supplies
+``+``, ``*`` and ``**``.  ``_Packed._lift`` makes a scalar operand, a
+rational or, for a LaurentPoly, a MultiPoly over its ordinary variables, a
+constant; a float is refused.  Their ``terms`` is a view built on each
+access, in sorted key order: exponent tuples to Fraction coefficients for a
+MultiPoly, distinguished exponent tuples to MultiPoly coefficients for a
+LaurentPoly.  Printing is descending lex in the declared variable sequence,
+e.g. ``t1*t2+t1*t3+t2*t3`` or ``3*z^-2-z^-1+z^3``.  Values are immutable and
+all operations pure, so they can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import gcd, lcm, prod
 from numbers import Rational
 from typing import Iterable, Mapping
 
-from ._terms import Terms, _set
+from ._terms import Terms, _exact, _set
 from .errors import ContextError, PoleAtPointError, PreconditionError, SizeBoundError
 
 Exponents = tuple[int, ...]
@@ -91,16 +93,6 @@ def _fieldwise(keys, guard: int, low: bool) -> int:
     return out
 
 
-def _exact(c):
-    """``c`` as an int or Fraction; a float is refused, as its binary value is
-    seldom the number meant (0.1 is 3602879701896397/36028797018963968)."""
-    if c.__class__ is int or c.__class__ is Fraction:
-        return c
-    if isinstance(c, float):
-        raise PreconditionError(f"inexact coefficient {c!r}: give an int, a Fraction or a string")
-    return Fraction(c)
-
-
 class _Packed(Terms):
     """The integral form of MultiPoly and LaurentPoly: int numerators over
     ``_d`` and an int key per monomial, which holds the exponents over
@@ -149,11 +141,6 @@ class _Packed(Terms):
             return NotImplemented
         mine = (self._t, self._d, self.dist, self.variables)
         return mine == (other._t, other._d, other.dist, other.variables)
-
-    def __add__(self, other):
-        if isinstance(other, Rational):
-            other = self._lift(other)
-        return Terms.__add__(self, other)
 
     def select(self, keep):
         """Projection onto the terms whose key, as in ``terms``, satisfies ``keep``."""
@@ -254,22 +241,9 @@ class MultiPoly(_Packed):
 
     # -- ring operations ----------------------------------------------------
 
-    __add__ = _Packed.__add__
-    __radd__ = __add__
     # perfbench/tracing.py wraps the operators in the class's own __dict__
+    __add__ = Terms.__add__
     __mul__ = Terms.__mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise PreconditionError("MultiPoly does not allow negative powers")
-        result = MultiPoly.const(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def exact_quotient(self, divisor: "MultiPoly") -> "MultiPoly | None":
         """q with q * divisor == self, or None when divisor does not divide self:
@@ -427,9 +401,7 @@ class LaurentPoly(_Packed):
 
     # -- ring operations ----------------------------------------------------
 
-    __add__ = _Packed.__add__
-    __radd__ = __add__
-    # perfbench/tracing.py wraps the operators in the class's own __dict__
+    # perfbench/tracing.py wraps the operator in the class's own __dict__
     __mul__ = Terms.__mul__
 
     # -- polar split --------------------------------------------------------

@@ -34,10 +34,10 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, ClassVar, Iterable
 
+from ._terms import _exact
 from .errors import ContextError, InvariantError, PreconditionError
 from .exterior import ExteriorElement
 from .poly import LaurentPoly, MultiPoly, _fieldwise, _keys, parse_laurent, parse_poly
@@ -187,7 +187,7 @@ class RBAlgebraDescriptor:
         return x - y
 
     def scalar(self, c, x):
-        return Fraction(c) * x
+        return _exact(c) * x
 
     def mul(self, x, y):
         return self._mul(x, y)
@@ -362,7 +362,7 @@ class SaitoAlgebra(RBAlgebraDescriptor):
         return self.add(x, self.neg(y))
 
     def scalar(self, c, x):
-        c = Fraction(c)
+        c = _exact(c)
         return SaitoForm(x.denom, c * x.xi, c * x.eta)
 
     def _mul(self, a, b):

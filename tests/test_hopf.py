@@ -1,4 +1,8 @@
+import itertools
+import operator
+import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -12,16 +16,19 @@ from conftest import (
     triangle_graph,
 )
 from rbren import (
+    Character,
     FeynmanGraph,
     GeneratorRegistry,
     HopfElement,
     PreconditionError,
+    RBAlgebraDescriptor,
     TensorElement,
     UnknownGeneratorError,
     antipode,
     coproduct,
     counit,
     divergent_subgraphs,
+    pole_power_character,
     reduced_coproduct,
     reduced_coproduct_iterated,
 )
@@ -165,6 +172,41 @@ def test_antipode_convolution_inverse(library_registry):
         for (a, b), c in coproduct(x, reg).terms.items():
             total = total + c * (antipode(H({a: 1}), reg) * H({b: 1}))
         assert total == HopfElement.unit(counit(x))
+
+
+FACTORS = ("B", "Gamma2", "Gamma3", "sunset")
+# every product of two or three of them, repeats included
+PRODUCTS = [m for k in (2, 3) for m in itertools.combinations_with_replacement(FACTORS, k)]
+
+
+def test_algebra_maps_are_multiplicative_on_products(library_registry):
+    """Delta, S and characters are fixed on generators and extended as algebra
+    maps: on a product each is the product of its values on the factors, and
+    the empty monomial goes to the unit.  S * id = eta o epsilon holds on the
+    products too."""
+    reg = library_registry
+    form = RBAlgebraDescriptor.nc_log(1, 1)
+    rng = random.Random(5)
+    chars = [
+        pole_power_character(reg, c=F(1, 2)),
+        Character(form, {n: form.random_element(rng) for n in FACTORS}),
+    ]
+    for mono in PRODUCTS:
+        x = H.mono(mono)
+        delta = coproduct(x, reg)
+        assert delta == reduce(operator.mul, [coproduct(H.gen(n), reg) for n in mono]), mono
+        assert antipode(x, reg) == reduce(operator.mul, [antipode(H.gen(n), reg) for n in mono])
+        total = HopfElement.zero()
+        for (a, b), c in delta.terms.items():
+            total = total + c * (antipode(H({a: 1}), reg) * H({b: 1}))
+        assert total.is_zero(), mono
+        for char in chars:
+            target = char.target
+            assert target.eq(char(x), reduce(target.mul, [char(n) for n in mono])), mono
+    assert coproduct(H.unit(), reg) == tensor(((), (), 1))
+    assert antipode(H.unit(), reg) == H.unit()
+    for char in chars:
+        assert char(H.unit()) == char(()) == char.target.one()
 
 
 def test_grading_is_respected(library_registry):

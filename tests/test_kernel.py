@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbren import ContextError, LaurentPoly, MultiPoly, PoleAtPointError, PreconditionError
-from rbren import SizeBoundError
+from rbren import GeneratorRegistry, HopfElement, RBAlgebraDescriptor, SizeBoundError
+from rbren import TensorElement, pole_power_character
 
 import oracles
 
@@ -170,8 +171,15 @@ def test_a_distinguished_exponent_past_its_field_is_refused():
         lambda: MultiPoly.const(("x",), 0.1),
         lambda: LaurentPoly(("z",), ("x",), {(1,): 0.5}),
         lambda: LaurentPoly.const(("z",), ("x",), 0.25),
+        lambda: HopfElement.gen("a", 0.1),
+        lambda: HopfElement.unit(0.1),
+        lambda: TensorElement(2, {(("a",), ()): 0.1}),
+        lambda: (A := RBAlgebraDescriptor.laurent_ms()).scalar(0.1, A.one()),
+        lambda: (A := RBAlgebraDescriptor.saito(1)).scalar(0.1, A.one()),
+        lambda: pole_power_character(GeneratorRegistry(), c=0.1),
     ],
-    ids=["multipoly", "multipoly-const", "laurent", "laurent-const"],
+    ids=["multipoly", "multipoly-const", "laurent", "laurent-const", "hopf-gen", "hopf-unit",
+         "tensor", "laurent_ms-scalar", "saito-scalar", "pole-power-character"],
 )
 def test_float_coefficients_are_refused(build):
     """0.1 used to be stored as 3602879701896397/36028797018963968."""

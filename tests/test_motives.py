@@ -280,6 +280,33 @@ def test_lefschetz_negative_power_is_refused():
         (L(1) + 1) ** -1
 
 
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: LefschetzPolynomial({0: F(1, 2), 1: 2.7}), "1/2"),
+        (lambda: LefschetzPolynomial({1: 2.7}), "2.7"),
+        (lambda: LefschetzPolynomial.const(F(3, 2)), "3/2"),
+        (lambda: LefschetzPolynomial({1.5: 1}), "1.5"),
+        (lambda: LefschetzPolynomial({F(3, 2): 1}), "3/2"),
+        (lambda: LefschetzPolynomial.lefschetz(1.5), "1.5"),
+        (lambda: LefschetzPolynomial.lefschetz(-1), "negative exponent"),
+    ],
+    ids=["fraction-coefficient", "float-coefficient", "const", "float-exponent",
+         "fraction-exponent", "lefschetz-float", "lefschetz-negative"],
+)
+def test_lefschetz_invalid_terms_are_refused(build, named):
+    """They used to be truncated: the first gave 2*L, const(3/2) gave 1 and
+    the exponent 1.5 gave L; lefschetz(1.5) and lefschetz(-1) were stored as
+    given."""
+    with pytest.raises(PreconditionError, match=named):
+        build()
+
+
+def test_lefschetz_integral_fractions_are_accepted():
+    assert LefschetzPolynomial({F(4, 2): F(4, 2)}) == 2 * L(2)
+    assert LefschetzPolynomial.const(F(4, 2)) == LefschetzPolynomial.const(2)
+
+
 def test_lefschetz_parse_round_trip():
     for poly in (gl_class(3), projective_class(5), grassmannian_class(2, 4)):
         assert parse_class(poly.render()) == poly

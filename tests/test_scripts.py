@@ -106,3 +106,28 @@ def test_bench_pairs_gain_needs_no_more_failed_ops(monkeypatch):
     more = script.summary(pairs(2), metric)
     assert more["change_wins"] == 10 and more["verdict"] != "better"
     assert (more["parent_failed"], more["change_failed"]) == (10, 20)
+
+
+def test_bench_pairs_uniformly_better_metric_is_resolved(monkeypatch):
+    """A parent spread wider than the bound left a metric unresolved even
+    when every run of the change read better than every run of the parent;
+    such a metric is judged on its median, unless the change fails more ops."""
+    script = load_script(monkeypatch, "bench_pairs")
+    metric = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+    parent = [20, 30, 40, 99, 99, 99, 99, 99, 100, 100]
+
+    def pairs(change_failed, change=101.0):
+        return [
+            {"parent": {"ops_per_s": float(p)}, "change": {"ops_per_s": change},
+             "parent_failed": 0, "change_failed": change_failed}
+            for p in parent
+        ]
+
+    clean = script.summary(pairs(0), metric)
+    assert clean["change_wins"] == 10 and clean["parent_iqr_over_median"] > 0.25
+    assert clean["verdict"] == "within bound"
+    assert script.summary(pairs(1), metric)["verdict"] == "unresolved"
+    # one change run no better than the best parent run: still unresolved
+    mixed = pairs(0)
+    mixed[0]["change"]["ops_per_s"] = 100.0
+    assert script.summary(mixed, metric)["verdict"] == "unresolved"

@@ -2,10 +2,13 @@
 
 import dataclasses
 import importlib.util
+import operator
 from fractions import Fraction as F
+from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbren import (
     ContextError,
@@ -348,3 +351,81 @@ def test_benchmark_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert rota_baxter.RBAlgebraDescriptor.__dict__["mul"] is mul
     assert rota_baxter.rb_defect is rb_defect
+
+
+# -- scalar summands and powers, defined once in Terms ------------------------------
+
+RING = settings(derandomize=True, max_examples=40, deadline=None)
+_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_c = parse_poly("c", ("c",))
+
+# per type with a unit: a strategy for its elements, the lifted scalar 1 as
+# built by the public constructors, and a strategy for its scalars
+UNITAL = {
+    "MultiPoly": (
+        st.dictionaries(st.tuples(*[st.integers(0, 2)] * 2), _q, max_size=3).map(
+            lambda t: MultiPoly(("x", "y"), t)),
+        lambda c: MultiPoly.const(("x", "y"), c),
+        _q,
+    ),
+    "LaurentPoly": (
+        st.dictionaries(st.tuples(st.integers(-2, 2)), st.tuples(_q, _q), max_size=3).map(
+            lambda t: LaurentPoly(("z",), ("c",), {e: a + b * _c for e, (a, b) in t.items()})),
+        lambda c: LaurentPoly.from_poly(c, ("z",)) if isinstance(c, MultiPoly)
+        else LaurentPoly.const(("z",), ("c",), c),
+        st.one_of(_q, _q.map(lambda a: a * _c + 1)),
+    ),
+    "LefschetzPolynomial": (
+        st.dictionaries(st.integers(0, 3), st.integers(-3, 3), max_size=3).map(
+            LefschetzPolynomial),
+        LefschetzPolynomial.const,
+        st.integers(-3, 3),
+    ),
+    "HopfElement": (
+        st.dictionaries(st.lists(st.sampled_from("ab"), max_size=2).map(tuple), _q,
+                        max_size=3).map(HopfElement),
+        HopfElement.unit,
+        _q,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNITAL))
+def test_power_is_the_repeated_product(name):
+    elements, lift, _ = UNITAL[name]
+
+    @RING
+    @given(elements, st.integers(1, 5))
+    def check(x, n):
+        assert x**n == reduce(operator.mul, [x] * n)
+        assert x**0 == lift(1)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(UNITAL))
+def test_scalar_summand_is_lifted(name):
+    elements, lift, scalars = UNITAL[name]
+
+    @RING
+    @given(elements, scalars)
+    def check(x, c):
+        assert x + c == c + x == x + lift(c)
+        assert x - c == x - lift(c) and c - x == lift(c) - x
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(UNITAL))
+def test_negative_power_is_refused(name):
+    x = UNITAL[name][1](2)
+    with pytest.raises(PreconditionError, match=f"{name} has no negative powers"):
+        x**-1
+
+
+@pytest.mark.parametrize("name", ["ExteriorElement", "TensorElement"])
+def test_types_without_a_unit_take_no_scalar_summand_or_power(name):
+    x = CASES[name][0]
+    for op in (lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: x**2):
+        with pytest.raises(TypeError):
+            op()

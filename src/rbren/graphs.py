@@ -3,8 +3,8 @@ polynomials.
 
 Graphs are immutable: a vertex id set, oriented internal edges (id, tail,
 head) that may be parallel or self-loops, and external legs carrying exact
-rational momentum vectors.  All enumeration below is deterministic in the
-declared edge order.
+rational momentum vectors.  Enumeration is deterministic; spanning forests
+come from one frontier dynamic programme that writes packed keys.
 """
 
 from __future__ import annotations
@@ -244,74 +244,102 @@ def is_1pi(g: FeynmanGraph) -> bool:
 # -- spanning forests, trees and cut sets ---------------------------------------
 
 
-def _spanning_forests(g: FeynmanGraph, k: int) -> list[tuple[int, list[int]]]:
-    """Every spanning forest of g with exactly k trees, over its non-loop
-    edges, as (edge bitmask over g.internal_edges, roots); roots[v] is the
-    representative vertex index of the tree holding vertex index v.
+def _forest_keys(g: FeynmanGraph, k: int, units: list[int], marked=()) -> dict[tuple, list[int]]:
+    """Every spanning forest of g with exactly k trees, as {labels: keys}: a
+    forest's key sums ``units[i]`` over the edges i outside it, self-loops
+    always among them, and ``labels`` names the tree of each vertex index in
+    ``marked`` by the least marked vertex index on it.
 
-    Include/exclude backtracking over the edges in declared order, the chosen
-    edges' trees kept as a root list.  An edge is included only if it joins
-    two trees while more than k remain; it is excluded only if the chosen
-    edges plus the later ones still leave at most k components.  Either rule
-    keeps a completion open, so every leaf is a forest and the cost is
-    output-polynomial (Read & Tarjan, Networks 5, 1975): O(|E| (|V| + |E|))
-    per forest, where a subset scan tests C(|E|, |V| - k) edge sets.
+    A frontier dynamic programme (Sekine, Imai and Tani, ISAAC 1995) decides
+    the non-loop edges in a greedy order: next the edge that is the last one
+    left at the most vertices, then the one with the most ends seen, then the
+    least index.  A vertex is live from its first edge to its last, or to the
+    end when marked.  A state is the labels of the live vertices' trees, each
+    tree labelled by its least live vertex, and the counts of closed trees
+    (with no live vertex left) and of all trees (|V| less the edges included).
+    Each edge is excluded or, between two trees, included.  A state is cut
+    when more than k trees are closed, when k are closed and live vertices
+    remain, or when its trees less k are negative or more than the edges left.
+    Later decisions depend on the state alone, so paths that reach one state
+    concatenate their key lists.  A path is an edge set without a cycle that
+    survives exactly when it is a forest of k trees, so each forest is one
+    path, and its key is its excluded set: it appears exactly once.  The cost
+    is the states reached times the live vertices, plus one addition per key
+    and excluded edge.
     """
-    ends = [(i, a, b) for i, (a, b) in enumerate(g.ends) if a != b]
-    n = len(g.vertices)
+    ends, n = g.ends, len(g.vertices)
     if n == 0:
         raise ValueError("a graph without vertices has no spanning forest")
     if not is_connected(g):
         raise DisconnectedError("spanning trees need a connected graph")
-    forests: list[tuple[int, list[int]]] = []
     if n < k:
-        return forests
-    later = [ends[pos + 1 :] for pos in range(len(ends))]
+        return {}
+    rest = [i for i, (a, b) in enumerate(ends) if a != b]
+    degree = Counter(v for i in rest for v in ends[i])
+    order, last = [], {}  # the edges, and the step of each vertex's last edge
+    while rest:
+        # max keeps the first, least index among equal scores
+        i = max(rest, key=lambda i: 3 * ((degree[ends[i][0]] == 1) + (degree[ends[i][1]] == 1))
+                + (ends[i][0] in last) + (ends[i][1] in last))
+        rest.remove(i)
+        a, b = ends[i]
+        degree[a] -= 1
+        degree[b] -= 1
+        last[a] = last[b] = len(order)
+        order.append(i)
+    live = sorted(set(marked) - last.keys())  # only a lone vertex has no edge
+    loops = sum(units[i] for i, (a, b) in enumerate(ends) if a == b)
+    # a state: the live vertices' labels, the closed trees and all trees
+    states = {(tuple(live), n - len(last) - len(live), n): [loops]}
+    for step, i in enumerate(order):
+        new = tuple(v for v in ends[i] if v not in live)
+        here = live + list(new)
+        pa, pb = here.index(ends[i][0]), here.index(ends[i][1])
+        gone = [p for p in (pa, pb) if last[here[p]] == step and here[p] not in marked]
+        stay = [p for p in range(len(here)) if p not in gone]
+        live = [here[p] for p in stay]
+        left, unit, nxt = len(order) - step - 1, units[i], {}
+        for (labels, closed, trees), keys in states.items():
+            labels += new
+            la, lb = labels[pa], labels[pb]
+            branches = []
+            if trees - k <= left:
+                branches.append((labels, trees, [x + unit for x in keys]))
+            if la != lb and trees > k:
+                lo, hi = (la, lb) if la < lb else (lb, la)
+                branches.append((tuple([lo if x == hi else x for x in labels]), trees - 1, keys))
+            for labels, t, keys in branches:
+                c = closed
+                if gone:
+                    retired = {labels[p] for p in gone}
+                    labels = tuple([labels[p] for p in stay])
+                    for r in retired:
+                        if r not in labels:
+                            c += 1
+                        elif r not in live:  # the tree's least live vertex left
+                            lo = min(v for v, x in zip(live, labels) if x == r)
+                            labels = tuple([lo if x == r else x for x in labels])
+                    if c > k or c == k and labels:
+                        continue
+                if (got := nxt.setdefault((labels, c, t), keys)) is not keys:
+                    got += keys
+        states = nxt
+    at = [live.index(v) for v in marked]
+    return {tuple(labels[p] for p in at): keys for (labels, *_), keys in states.items()}
 
-    def grow(pos: int, mask: int, roots: list[int], trees: int) -> None:
-        # once k trees remain, every later edge is excluded
-        while trees > k:
-            i, a, b = ends[pos]
-            ra, rb = roots[a], roots[b]
-            pos += 1
-            if ra == rb:
-                continue
-            joined = [ra if r == rb else r for r in roots]
-            if _at_most_components(roots, trees, later[pos - 1], k):
-                grow(pos, mask | 1 << i, joined, trees - 1)
-            else:
-                mask, roots, trees = mask | 1 << i, joined, trees - 1
-        forests.append((mask, roots))
 
-    grow(0, 0, list(range(n)), n)
-    return forests
-
-
-def _at_most_components(roots, trees, ends, k) -> bool:
-    """Whether the trees given by ``roots`` joined by the (i, a, b) edges
-    ``ends`` form at most k components."""
-    if trees <= k:
-        return True
-    parent = list(roots)
-    for _, a, b in ends:
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-            trees -= 1
-            if trees == k:
-                return True
-    return False
-
-
-def _sorted_edge_sets(g: FeynmanGraph, masks: list[int]) -> list[frozenset[EdgeId]]:
-    """The edge sets of the bitmasks, ordered by ``_id_order``."""
+def _sorted_edge_sets(g: FeynmanGraph, k: int, flip: int = 0) -> list[frozenset[EdgeId]]:
+    """The edge sets outside the spanning forests of g with k trees, each
+    one's bitmask xor ``flip``, ordered by ``_id_order``."""
     ids = g.edge_ids()
+    forests = _forest_keys(g, k, [1 << i for i in range(len(ids))])
+    masks = [key ^ flip for keys in forests.values() for key in keys]
     sets = [frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1) for mask in masks]
     return sorted(sets, key=_id_order)
 
 
 def spanning_trees(g: FeynmanGraph) -> list[frozenset[EdgeId]]:
-    return _sorted_edge_sets(g, [mask for mask, _ in _spanning_forests(g, 1)])
+    return _sorted_edge_sets(g, 1, flip=(1 << len(g.internal_edges)) - 1)
 
 
 def cut_sets(g: FeynmanGraph) -> list[frozenset[EdgeId]]:
@@ -319,8 +347,7 @@ def cut_sets(g: FeynmanGraph) -> list[frozenset[EdgeId]]:
     complements E \\ F of the spanning 2-forests F, which are the sets
     (E \\ T) + {e} over spanning trees T and e in T.  All have
     |E| - |V| + 2 edges, so they are ordered by edge ids alone."""
-    full = (1 << len(g.internal_edges)) - 1
-    return _sorted_edge_sets(g, [full & ~mask for mask, _ in _spanning_forests(g, 2)])
+    return _sorted_edge_sets(g, 2)
 
 
 # -- subgraphs and quotients --------------------------------------------------

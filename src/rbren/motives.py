@@ -20,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping
 
 from ._linalg import eliminate, integer_row, rational_rank
@@ -37,7 +38,7 @@ class LefschetzPolynomial(Terms):
 
     terms: Mapping[int, int] = field()
 
-    _scalars = (int,)
+    _scalars = (Rational,)
     _join = staticmethod(operator.add)
 
     def _term(self, e, c):
@@ -57,6 +58,12 @@ class LefschetzPolynomial(Terms):
         return LefschetzPolynomial({0: c})
 
     _lift = const
+
+    def __mul__(self, other):
+        """Product; a scalar is lifted, so it must be integral and is kept an int."""
+        return Terms.__mul__(self, self._lift(other) if isinstance(other, Rational) else other)
+
+    __rmul__ = __mul__
 
     @staticmethod
     def lefschetz(power: int = 1) -> "LefschetzPolynomial":
@@ -189,7 +196,7 @@ class Arrangement:
         planes = []
         seen = set()
         for form in self.hyperplanes:
-            form = tuple(Fraction(c) for c in form)
+            form = tuple(Fraction(_exact(c)) for c in form)
             if len(form) != self.ambient:
                 raise PreconditionError("hyperplane length does not match ambient")
             row = integer_row(form)

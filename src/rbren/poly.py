@@ -46,6 +46,11 @@ def _fields(nd: int, n: int):
     return struct.Struct(f">{n}h"), bias, int.from_bytes(b"\x80\x00" * n, "big")
 
 
+def _units(n: int) -> list[int]:
+    """The key of each of n variables to the first power, in order."""
+    return [1 << 16 * i for i in reversed(range(n))]
+
+
 def _keys(given, names: tuple[str, ...], dist: bool) -> list[int]:
     """The keys of the exponent tuples ``given`` over ``names``, stored plus
     _B when ``dist``; a tuple that does not fit is refused."""

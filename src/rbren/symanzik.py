@@ -3,7 +3,8 @@
 The first Symanzik polynomial is the spanning-tree sum
 Psi(t) = sum_T prod_{e not in T} t_e; it equals det M(t) for the cycle-based
 matrix M_kr(t) = sum_i t_i eta_ik eta_ir.  The second polynomial sums squared
-momentum transfer over cut sets.  Flattening the rank-one blocks
+momentum transfer over cut sets.  Both sums take each forest's monomial as a
+packed MultiPoly key from the forest enumerator.  Flattening the rank-one blocks
 eta_i eta_i^T row by row gives the linear map from A^n into the space of
 l x l matrices whose injectivity is probed by exact rank computations.
 """
@@ -17,12 +18,12 @@ from ._linalg import rational_rank
 from .errors import MomentumError, PreconditionError
 from .graphs import (
     FeynmanGraph,
-    _spanning_forests,
+    _forest_keys,
     cycle_basis_matrix,
     edge_connectivity,
     loop_number,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, _numerators, _units
 
 
 def edge_variables(g: FeynmanGraph) -> tuple[str, ...]:
@@ -34,16 +35,8 @@ def psi(g: FeynmanGraph) -> MultiPoly:
     """First Symanzik polynomial, all coefficients 1, homogeneous of degree
     equal to the loop number."""
     variables = edge_variables(g)
-    terms = {
-        _outside(mask, len(variables)): Fraction(1)
-        for mask, _ in _spanning_forests(g, 1)
-    }
-    return MultiPoly(variables, terms)
-
-
-def _outside(mask: int, n: int) -> tuple[int, ...]:
-    """Exponents of prod_{e not in F} t_e for the edge bitmask of F."""
-    return tuple(1 - (mask >> i & 1) for i in range(n))
+    forests = _forest_keys(g, 1, _units(len(variables)))
+    return MultiPoly._make({key: 1 for keys in forests.values() for key in keys}, variables)
 
 
 def graph_matrix(g: FeynmanGraph) -> list[list[MultiPoly]]:
@@ -55,16 +48,10 @@ def _cycle_matrix(g: FeynmanGraph, eta: list[list[int]]) -> list[list[MultiPoly]
     """The graph matrix from the cycle basis ``eta`` of ``g``."""
     variables = edge_variables(g)
     loops = len(eta[0]) if eta else loop_number(g)
-    n = len(g.internal_edges)
-    matrix = []
-    for k in range(loops):
-        row = []
-        for r in range(loops):
-            # sum_i eta_ik eta_ir t_i; the constructor drops the zero terms
-            terms = {tuple(int(j == i) for j in range(n)): eta[i][k] * eta[i][r] for i in range(n)}
-            row.append(MultiPoly(variables, terms))
-        matrix.append(row)
-    return matrix
+    units = _units(len(variables))
+    # sum_i eta_ik eta_ir t_i; the trusted constructor drops the zero terms
+    entry = lambda k, r: MultiPoly._make({u: e[k] * e[r] for u, e in zip(units, eta)}, variables)
+    return [[entry(k, r) for r in range(loops)] for k in range(loops)]
 
 
 def poly_det(matrix: list[list[MultiPoly]]) -> MultiPoly:
@@ -121,34 +108,31 @@ def second_symanzik(g: FeynmanGraph) -> MultiPoly:
 
     The cut sets are the complements of the spanning 2-forests, and s_C
     depends only on which leg vertices lie on each of the forest's two
-    trees, so it is computed once per such side pattern.  Momentum
+    trees, so the enumeration, marking the leg vertices, groups the forests
+    by it and it is computed once per group.  Momentum
     conservation makes the two sides agree; both are computed and compared.
     """
     variables = edge_variables(g)
-    forests = _spanning_forests(g, 2)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    legs = [(index[v], p) for v, p in g.external_edges]
+    forests = _forest_keys(g, 2, _units(len(variables)), [v for v, _ in legs])
     dim = g.momentum_dim()
     if dim is None:
         return MultiPoly(variables, {})
-    index = {v: i for i, v in enumerate(g.vertices)}
-    legs = [(index[v], p) for v, p in g.external_edges]
-    squares: dict[tuple[bool, ...], Fraction] = {}
     terms = {}
-    for mask, roots in forests:
-        # for each leg, whether it is on the side of the first vertex
-        side = tuple([roots[v] == roots[0] for v, _ in legs])
-        if side not in squares:
-            sums = [[Fraction(0)] * dim, [Fraction(0)] * dim]
-            for (_, p), first in zip(legs, side):
-                total = sums[0 if first else 1]
-                for i, q in enumerate(p):
-                    total[i] += q
-            s_first, s_second = (_dot(total, total) for total in sums)
-            if s_first != s_second:
-                raise MomentumError("cut momentum square differs between the two sides")
-            squares[side] = s_first
-        if squares[side]:
-            terms[_outside(mask, len(variables))] = squares[side]
-    return MultiPoly(variables, terms)
+    for labels, keys in forests.items():
+        # the legs on the tree of the first leg, then the others
+        sums = [[Fraction(0)] * dim, [Fraction(0)] * dim]
+        for (_, p), label in zip(legs, labels):
+            total = sums[label != labels[0]]
+            for i, q in enumerate(p):
+                total[i] += q
+        s_first, s_second = (_dot(total, total) for total in sums)
+        if s_first != s_second:
+            raise MomentumError("cut momentum square differs between the two sides")
+        terms.update(dict.fromkeys(keys, s_first))
+    terms, d = _numerators(terms, terms.values())
+    return MultiPoly._make(terms, variables, d=d)
 
 
 # -- the map into matrix space -----------------------------------------------------

@@ -307,6 +307,36 @@ def test_lefschetz_integral_fractions_are_accepted():
     assert LefschetzPolynomial.const(F(4, 2)) == LefschetzPolynomial.const(2)
 
 
+def test_lefschetz_integral_fraction_summand_is_an_int():
+    """It raised TypeError; a non-integral scalar is refused by name."""
+    total = LefschetzPolynomial.const(2) + F(4, 2)
+    assert total == LefschetzPolynomial.const(4) and total.terms == {0: 4}
+    assert type(total.terms[0]) is int and total.render() == "4"
+    assert F(4, 2) + L(1) == L(1) + 2
+    with pytest.raises(PreconditionError, match="1/2"):
+        L(1) + F(1, 2)
+
+
+def test_lefschetz_integral_fraction_factor_is_an_int():
+    """It raised TypeError; a non-integral scalar is refused by name."""
+    product = (L(2) - 1) * F(4, 2)
+    assert product == parse_class("2*L^2 - 2") and F(4, 2) * (L(2) - 1) == product
+    assert all(type(c) is int for c in product.terms.values())
+    assert product.render() == "2*L^2 - 2"
+    with pytest.raises(PreconditionError, match="3/2"):
+        L(1) * F(3, 2)
+    with pytest.raises(PreconditionError, match="3/2"):
+        F(3, 2) * L(1)
+
+
+def test_arrangement_refuses_float_coefficients():
+    """0.1 was taken at its binary value, 3602879701896397/36028797018963968."""
+    with pytest.raises(PreconditionError, match="0.1"):
+        Arrangement(2, [(0.1, 1), (1, 0)])
+    planes = Arrangement(2, [("1/10", 1), (1, 0)]).hyperplanes
+    assert planes == ((F(1, 10), F(1)), (F(1), F(0)))
+
+
 def test_lefschetz_parse_round_trip():
     for poly in (gl_class(3), projective_class(5), grassmannian_class(2, 4)):
         assert parse_class(poly.render()) == poly

@@ -7,6 +7,7 @@ import oracles
 from conftest import (
     P1,
     P2,
+    bubble_chain_graph,
     connected_multigraphs,
     ladder_graph,
     single_edge_graph,
@@ -31,7 +32,7 @@ from rbren import (
     upsilon_embedding_tests,
     upsilon_matrix,
 )
-from rbren.poly import parse_poly
+from rbren.poly import MultiPoly, parse_poly
 
 
 def test_psi_triangle(triangle):
@@ -168,6 +169,70 @@ def test_forest_sums_match_brute_force_exhaustively():
 def test_forest_sums_of_ladders_and_wheels_match_brute_force():
     for g in [ladder_graph(n) for n in (3, 4, 5, 6)] + [wheel_graph(n) for n in range(3, 8)]:
         assert_forest_sums_match_brute_force(g, [g] + leg_patterns(g))
+
+
+def random_connected_multigraph(rng, n, max_edges):
+    """A seeded connected multigraph on 0..n-1: a random spanning tree plus
+    up to ``max_edges`` - n + 1 random edges, self-loops and parallel edges
+    among them, in shuffled order."""
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, max_edges - n + 1))]
+    rng.shuffle(edges)
+    return FeynmanGraph(tuple(range(n)), tuple((f"e{i}", a, b) for i, (a, b) in enumerate(edges)))
+
+
+def test_spanning_trees_match_networkx_iterator():
+    """Bubble chains B3-B6 and seeded random connected multigraphs on 7-10
+    vertices with up to 20 edges, beyond the subset scans' range, against
+    networkx's SpanningTreeIterator on the keyed MultiGraph."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.tree.mst import SpanningTreeIterator
+
+    rng = random.Random(27)
+    graphs = [bubble_chain_graph(n) for n in range(3, 7)]
+    graphs += [random_connected_multigraph(rng, rng.randint(7, 10), 20) for _ in range(8)]
+    loops = parallel = 0
+    for g in graphs:
+        multi = nx.MultiGraph()
+        multi.add_nodes_from(g.vertices)
+        multi.add_edges_from((tail, head, eid) for eid, tail, head in g.internal_edges)
+        expected = {frozenset(eid for *_, eid in t.edges(keys=True)) for t in SpanningTreeIterator(multi)}
+        trees = spanning_trees(g)
+        assert len(trees) == len(expected) and set(trees) == expected
+        pairs = [frozenset((tail, head)) for _, tail, head in g.internal_edges]
+        loops += sum(len(p) == 1 for p in pairs)
+        parallel += len(pairs) - len(set(pairs))
+    assert loops and parallel
+
+
+def renamed(poly, perm, variables):
+    """poly over the variables ``variables``, the i-th taking the exponents of
+    the perm[i]-th variable of poly."""
+    return MultiPoly(variables, {tuple(e[j] for j in perm): c for e, c in poly.terms.items()})
+
+
+def test_forest_sums_are_invariant_under_edge_permutation():
+    """With the edge list (and the vertex tuple) shuffled, psi and the second
+    polynomial are the original ones with the edge variables renamed, on
+    ladders, wheels and seeded random multigraphs with legs."""
+    rng = random.Random(2718)
+    graphs = [ladder_graph(n) for n in (3, 4, 5)] + [wheel_graph(n) for n in (3, 4, 5, 6)]
+    graphs += [random_connected_multigraph(rng, rng.randint(3, 7), 12) for _ in range(12)]
+    for g in graphs:
+        for h in [g] + leg_patterns(g):
+            for _ in range(3):
+                perm = list(range(len(h.internal_edges)))
+                rng.shuffle(perm)
+                vertices = list(h.vertices)
+                rng.shuffle(vertices)
+                shuffled = FeynmanGraph(
+                    tuple(vertices),
+                    tuple(h.internal_edges[j] for j in perm),
+                    h.external_edges,
+                )
+                variables = edge_variables(shuffled)
+                assert psi(shuffled) == renamed(psi(h), perm, variables)
+                assert second_symanzik(shuffled) == renamed(second_symanzik(h), perm, variables)
 
 
 def test_forest_sums_need_a_connected_graph():
